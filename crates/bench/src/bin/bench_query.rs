@@ -1,6 +1,12 @@
 //! Query-engine benchmark snapshot: ops/sec for the full-scan vs
-//! windowed (`since τ`, 1% window) select paths at 1k/10k/100k rows,
+//! windowed (`since τ`, 1% window) select paths at 1k/10k/100k rows, and
+//! for a grouped `sum` over 50k rows into 8 and into 16,384 groups,
 //! written as `BENCH_query.json` for the performance trajectory.
+//!
+//! `groupby_card_ratio` (16,384-group ops/s ÷ 8-group ops/s) guards the
+//! group lookup: with a hashed lookup the many-group scan costs a few
+//! times the few-group one; a lookup that scans every group per row
+//! (quadratic in the group count) drives the ratio towards 0.001.
 //!
 //! Run with `cargo run --release -p cep_bench --bin bench_query`
 //! (the output path can be overridden with `BENCH_QUERY_OUT`).
@@ -11,9 +17,14 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use gapl::event::Scalar;
-use pscache::{Cache, CacheBuilder, Query};
+use pscache::{Aggregate, Cache, CacheBuilder, Query};
 
 const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+/// Rows in the grouped-scan table.
+const GROUPED_ROWS: usize = 50_000;
+/// Distinct keys of the two group columns.
+const FEW_GROUPS: usize = 8;
+const MANY_GROUPS: usize = 16_384;
 
 fn populated_cache(rows: usize) -> Cache {
     let cache = CacheBuilder::new().manual_clock().build();
@@ -37,6 +48,37 @@ fn populated_cache(rows: usize) -> Cache {
                     .map(|i| {
                         vec![
                             Scalar::from(format!("10.0.{}.{}", (i / 250) % 250, i % 250)),
+                            Scalar::Int(*i as i64),
+                        ]
+                    })
+                    .collect(),
+            )
+            .expect("insert batch");
+    }
+    cache
+}
+
+/// A `GROUPED_ROWS`-row stream whose `few` column has `FEW_GROUPS`
+/// distinct keys and whose `many` column has `MANY_GROUPS`, both
+/// interleaved so every batch touches many groups.
+fn grouped_cache() -> Cache {
+    let cache = CacheBuilder::new().build();
+    cache
+        .execute(&format!(
+            "create table Grouped (few varchar(16), many varchar(16), nbytes integer) \
+             capacity {GROUPED_ROWS}"
+        ))
+        .expect("create table");
+    for chunk in (0..GROUPED_ROWS).collect::<Vec<_>>().chunks(1_000) {
+        cache
+            .insert_batch(
+                "Grouped",
+                chunk
+                    .iter()
+                    .map(|i| {
+                        vec![
+                            Scalar::from(format!("10.0.0.{}", i % FEW_GROUPS)),
+                            Scalar::from(format!("10.1.{}.{}", (i % MANY_GROUPS) / 256, i % 256)),
                             Scalar::Int(*i as i64),
                         ]
                     })
@@ -106,9 +148,32 @@ fn main() {
         .expect("write to string");
     }
 
+    let cache = grouped_cache();
+    let grouped = |column: &str| {
+        let query = Query::new("Grouped")
+            .group_by(column)
+            .aggregate(Aggregate::Sum("nbytes".into()));
+        let groups = cache.select(&query).expect("select").len();
+        let ops = ops_per_sec(budget, || {
+            cache.select(&query).expect("select");
+        });
+        (groups, ops)
+    };
+    let (few_groups, few_ops) = grouped("few");
+    let (many_groups, many_ops) = grouped("many");
+    assert_eq!((few_groups, many_groups), (FEW_GROUPS, MANY_GROUPS));
+    let card_ratio = many_ops / few_ops;
+    println!(
+        "\ngroup by over {GROUPED_ROWS} rows: {few_ops:.1}/s into {FEW_GROUPS} groups, \
+         {many_ops:.1}/s into {MANY_GROUPS} groups (ratio {card_ratio:.4})"
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"query_engine\",\n  \"workload\": \"select * from Flows [since tau] \
-         over a hot stream table; tau = 1% tail window\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
+         over a hot stream table; tau = 1% tail window. select sum(nbytes) from Grouped group by \
+         few|many over {GROUPED_ROWS} rows\",\n  \"results\": [\n{entries}\n  ],\n  \
+         \"groupby\": {{\"rows\": {GROUPED_ROWS}, \"groups_8_ops_per_sec\": {few_ops:.1}, \
+         \"groups_16k_ops_per_sec\": {many_ops:.1}, \"groupby_card_ratio\": {card_ratio:.4}}}\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_query.json");
     println!("\nwrote {out_path}");

@@ -9,13 +9,25 @@
 //! to the `tstamp` pseudo-column) exactly once, and evaluation then
 //! touches tuples only through index loads and refcount clones.
 //!
+//! Evaluation is one streaming pass over the rows. A row that passes
+//! `since` and `where` is either projected or fed straight into its
+//! group's running aggregates; the group is found through a hash index
+//! over the borrowed key (for `str`, `int` and `bool` group columns) or
+//! by a first-match scan (for `real` and `tstamp` ones), and only the
+//! row that opens a group has its key cloned.
+//!
 //! Plans are immutable and cheap to share; [`crate::Cache`] keeps a
 //! cache of them keyed by the SQL text so a periodic query compiles only
 //! on its first submission.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use gapl::event::{Scalar, Schema, Timestamp, Tuple};
+use gapl::event::{AttrType, Scalar, Schema, Timestamp, Tuple};
 
 use crate::error::{Error, Result};
 use crate::query::{Aggregate, Comparison, Predicate, Query, ResultSet, Row};
@@ -44,25 +56,73 @@ impl ColRef {
         )))
     }
 
-    /// Load the referenced value out of a tuple without cloning it.
-    /// `Tstamp` loads have no backing storage, so the caller provides a
-    /// scratch slot that outlives the returned reference.
-    fn load<'t>(&self, tuple: &'t Tuple, scratch: &'t mut Scalar) -> &'t Scalar {
+    /// The referenced value: borrowed from the tuple, or built for the
+    /// `tstamp` pseudo-column, which has no backing storage.
+    fn value<'t>(&self, tuple: &'t Tuple) -> Cow<'t, Scalar> {
         match self {
-            ColRef::Index(ix) => &tuple.values()[*ix],
-            ColRef::Tstamp => {
-                *scratch = Scalar::Tstamp(tuple.tstamp());
-                scratch
-            }
+            ColRef::Index(ix) => Cow::Borrowed(&tuple.values()[*ix]),
+            ColRef::Tstamp => Cow::Owned(Scalar::Tstamp(tuple.tstamp())),
         }
     }
+}
 
-    /// Load the referenced value, cloning (a refcount bump at most).
-    fn load_cloned(&self, tuple: &Tuple) -> Scalar {
-        match self {
-            ColRef::Index(ix) => tuple.values()[*ix].clone(),
-            ColRef::Tstamp => Scalar::Tstamp(tuple.tstamp()),
+/// The order `order by` sorts in. [`Scalar::total_cmp`] cannot serve:
+/// it finds NaN equal to every number and compares mixed `int`, `real`
+/// and `tstamp` values through `f64`, so it is not transitive, and the
+/// standard sort may panic on a comparator that is not a total order.
+/// This one is total: numbers compare by exact value with NaN above all
+/// of them, strings and booleans as `total_cmp` does, and across kinds
+/// booleans sort before numbers and numbers before strings (one column
+/// only ever holds one kind).
+fn sort_cmp(a: &Scalar, b: &Scalar) -> Ordering {
+    /// A number's exact value: integers widened, reals as they are.
+    enum Num {
+        Int(i128),
+        Real(f64),
+    }
+    fn num(v: &Scalar) -> Option<Num> {
+        match v {
+            Scalar::Int(i) => Some(Num::Int(i128::from(*i))),
+            Scalar::Tstamp(t) => Some(Num::Int(i128::from(*t))),
+            Scalar::Real(r) => Some(Num::Real(*r)),
+            Scalar::Bool(_) | Scalar::Str(_) => None,
         }
+    }
+    fn int_vs_real(i: i128, r: f64) -> Ordering {
+        // Stored integers lie within ±2^64, so a real beyond that (or
+        // infinite, or NaN) is decided by its sign; any other real's
+        // integer part converts to `i128` exactly.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+        if r.is_nan() || r >= TWO_POW_64 {
+            return Ordering::Less;
+        }
+        if r <= -TWO_POW_64 {
+            return Ordering::Greater;
+        }
+        let whole = r.trunc();
+        i.cmp(&(whole as i128))
+            .then_with(|| whole.partial_cmp(&r).unwrap_or(Ordering::Equal))
+    }
+    fn kind(v: &Scalar) -> u8 {
+        match v {
+            Scalar::Bool(_) => 0,
+            Scalar::Int(_) | Scalar::Real(_) | Scalar::Tstamp(_) => 1,
+            Scalar::Str(_) => 2,
+        }
+    }
+    match (a, b) {
+        (Scalar::Str(x), Scalar::Str(y)) => x.cmp(y),
+        (Scalar::Bool(x), Scalar::Bool(y)) => x.cmp(y),
+        _ => match (num(a), num(b)) {
+            (Some(Num::Int(x)), Some(Num::Int(y))) => x.cmp(&y),
+            (Some(Num::Int(x)), Some(Num::Real(y))) => int_vs_real(x, y),
+            (Some(Num::Real(x)), Some(Num::Int(y))) => int_vs_real(y, x).reverse(),
+            (Some(Num::Real(x)), Some(Num::Real(y))) => x
+                .is_nan()
+                .cmp(&y.is_nan())
+                .then_with(|| x.partial_cmp(&y).unwrap_or(Ordering::Equal)),
+            _ => kind(a).cmp(&kind(b)),
+        },
     }
 }
 
@@ -101,10 +161,7 @@ impl CompiledPredicate {
 
     fn matches(&self, tuple: &Tuple) -> bool {
         match self {
-            CompiledPredicate::Compare { col, op, value } => {
-                let mut scratch = Scalar::Int(0);
-                op.evaluate(col.load(tuple, &mut scratch), value)
-            }
+            CompiledPredicate::Compare { col, op, value } => op.evaluate(&col.value(tuple), value),
             CompiledPredicate::And(a, b) => a.matches(tuple) && b.matches(tuple),
             CompiledPredicate::Or(a, b) => a.matches(tuple) || b.matches(tuple),
             CompiledPredicate::Not(a) => !a.matches(tuple),
@@ -116,111 +173,331 @@ impl CompiledPredicate {
 /// rendered once at compile time.
 #[derive(Debug, Clone)]
 struct CompiledAggregate {
-    /// `None` is `count(*)`.
-    input: Option<ColRef>,
-    kind: AggKind,
+    func: AggFn,
     output_name: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggKind {
+enum AggFn {
     Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
+    Sum(ColRef),
+    Avg(ColRef),
+    Min(ColRef),
+    Max(ColRef),
 }
 
 impl CompiledAggregate {
     fn compile(agg: &Aggregate, schema: &Schema) -> Result<CompiledAggregate> {
-        let (kind, column) = match agg {
-            Aggregate::Count => (AggKind::Count, None),
-            Aggregate::Sum(c) => (AggKind::Sum, Some(c)),
-            Aggregate::Avg(c) => (AggKind::Avg, Some(c)),
-            Aggregate::Min(c) => (AggKind::Min, Some(c)),
-            Aggregate::Max(c) => (AggKind::Max, Some(c)),
+        let resolve = |name: &str| {
+            ColRef::resolve(schema, name)
+                .map_err(|_| Error::schema(format!("unknown column `{name}` in aggregate")))
         };
-        let input = match column {
-            Some(name) => Some(
-                ColRef::resolve(schema, name)
-                    .map_err(|_| Error::schema(format!("unknown column `{name}` in aggregate")))?,
-            ),
-            None => None,
+        let func = match agg {
+            Aggregate::Count => AggFn::Count,
+            Aggregate::Sum(c) => AggFn::Sum(resolve(c)?),
+            Aggregate::Avg(c) => AggFn::Avg(resolve(c)?),
+            Aggregate::Min(c) => AggFn::Min(resolve(c)?),
+            Aggregate::Max(c) => AggFn::Max(resolve(c)?),
         };
         Ok(CompiledAggregate {
-            input,
-            kind,
+            func,
             output_name: agg.output_name(),
         })
     }
+}
 
-    fn compute(&self, tuples: &[&Tuple]) -> Scalar {
-        let Some(col) = self.input else {
-            return Scalar::Int(tuples.len() as i64);
+/// The running state of one aggregate that reads a column, over one
+/// group, fed a row at a time. Each aggregate function reads only its
+/// own fields.
+#[derive(Debug)]
+struct Accumulator<'t> {
+    /// `sum`/`avg`: every input so far was an `int` or a `tstamp`.
+    all_int: bool,
+    /// `sum`/`avg`: the exact integer sum, `None` once an addition
+    /// overflowed `i64`.
+    int: Option<i64>,
+    /// `sum`/`avg`: the `f64` sum of every numeric input, in row order.
+    /// It is the result whenever the integer sum is not.
+    real: f64,
+    /// `min`/`max`: the best value so far.
+    best: Option<Cow<'t, Scalar>>,
+}
+
+impl<'t> Accumulator<'t> {
+    fn new() -> Self {
+        Accumulator {
+            all_int: true,
+            int: Some(0),
+            // The additive identity `Iterator::sum` folds from, so a sum
+            // of only `-0.0` stays `-0.0`.
+            real: -0.0,
+            best: None,
+        }
+    }
+
+    #[inline]
+    fn feed(&mut self, func: AggFn, tuple: &'t Tuple) {
+        match func {
+            AggFn::Count => {}
+            AggFn::Sum(col) | AggFn::Avg(col) => match *col.value(tuple) {
+                // `as_int`/`as_real` of the value, added to each sum.
+                Scalar::Int(i) => self.add(Some(i), i as f64),
+                Scalar::Tstamp(t) => self.add(Some(t as i64), t as f64),
+                Scalar::Real(r) => self.add(None, r),
+                Scalar::Bool(_) | Scalar::Str(_) => self.all_int = false,
+            },
+            AggFn::Min(col) => self.keep_best(col.value(tuple), Ordering::Less),
+            AggFn::Max(col) => self.keep_best(col.value(tuple), Ordering::Greater),
+        }
+    }
+
+    fn add(&mut self, int: Option<i64>, real: f64) {
+        match int {
+            Some(i) => self.int = self.int.and_then(|s| s.checked_add(i)),
+            None => self.all_int = false,
+        }
+        self.real += real;
+    }
+
+    /// Replace the best value only when `v` is strictly better, so ties
+    /// (and NaN, which `total_cmp` finds equal to any number) keep the
+    /// first value seen.
+    fn keep_best(&mut self, v: Cow<'t, Scalar>, want: Ordering) {
+        if self.best.as_ref().is_none_or(|b| v.total_cmp(b) == want) {
+            self.best = Some(v);
+        }
+    }
+
+    /// The aggregate's value over a group of `count` rows.
+    fn finish(&self, func: AggFn, count: usize) -> Scalar {
+        let sum = || match self.int {
+            Some(i) if self.all_int => Scalar::Int(i),
+            _ => Scalar::Real(self.real),
         };
-        match self.kind {
-            AggKind::Count => Scalar::Int(tuples.len() as i64),
-            AggKind::Sum => sum_column(col, tuples),
-            AggKind::Avg => {
-                if tuples.is_empty() {
-                    Scalar::Real(0.0)
-                } else {
-                    let total = match sum_column(col, tuples) {
-                        Scalar::Int(i) => i as f64,
-                        Scalar::Real(r) => r,
-                        _ => 0.0,
-                    };
-                    Scalar::Real(total / tuples.len() as f64)
-                }
+        match func {
+            AggFn::Count => Scalar::Int(count as i64),
+            AggFn::Sum(_) => sum(),
+            AggFn::Avg(_) if count == 0 => Scalar::Real(0.0),
+            AggFn::Avg(_) => {
+                let total = match sum() {
+                    Scalar::Int(i) => i as f64,
+                    _ => self.real,
+                };
+                Scalar::Real(total / count as f64)
             }
-            AggKind::Min => extremum(col, tuples, std::cmp::Ordering::Less),
-            AggKind::Max => extremum(col, tuples, std::cmp::Ordering::Greater),
+            AggFn::Min(_) | AggFn::Max(_) => {
+                self.best.as_deref().cloned().unwrap_or(Scalar::Int(0))
+            }
         }
     }
 }
 
-fn sum_column(col: ColRef, tuples: &[&Tuple]) -> Scalar {
-    let mut scratch = Scalar::Int(0);
-    let all_int = tuples.iter().all(|t| {
-        matches!(
-            col.load(t, &mut scratch),
-            Scalar::Int(_) | Scalar::Tstamp(_)
-        )
-    });
-    if all_int {
-        Scalar::Int(
-            tuples
-                .iter()
-                .filter_map(|t| col.load(t, &mut scratch).as_int())
-                .sum(),
-        )
-    } else {
-        Scalar::Real(
-            tuples
-                .iter()
-                .filter_map(|t| col.load(t, &mut scratch).as_real())
-                .sum(),
-        )
+/// A `group by` key in the hash index, borrowed from the row that
+/// created its group.
+#[derive(Debug, PartialEq, Eq)]
+enum HashKey<'t> {
+    Str(&'t str),
+    Int(i64),
+    Bool(bool),
+}
+
+impl<'t> HashKey<'t> {
+    /// The index key of `value` in a column declared `ty`. Only `str`,
+    /// `int` and `bool` columns are indexed: there `total_cmp` equality
+    /// is plain value equality. In `real` and `tstamp` columns it is not:
+    /// NaN equals every number (so equality is not even transitive),
+    /// `-0.0` equals `0.0`, and a stored `Int` equals any value that
+    /// rounds to it. Their keys, and any value not of its column's
+    /// declared type, return `None` and are grouped by first match.
+    fn of(ty: AttrType, value: &'t Scalar) -> Option<Self> {
+        match (ty, value) {
+            (AttrType::Str, Scalar::Str(s)) => Some(HashKey::Str(s)),
+            (AttrType::Int, Scalar::Int(i)) => Some(HashKey::Int(*i)),
+            (AttrType::Bool, Scalar::Bool(b)) => Some(HashKey::Bool(*b)),
+            _ => None,
+        }
     }
 }
 
-fn extremum(col: ColRef, tuples: &[&Tuple], want: std::cmp::Ordering) -> Scalar {
-    let mut best: Option<Scalar> = None;
-    let mut scratch = Scalar::Int(0);
-    for t in tuples {
-        let v = col.load(t, &mut scratch);
-        best = match best {
-            None => Some(v.clone()),
-            Some(b) => {
-                if v.total_cmp(&b) == want {
-                    Some(v.clone())
-                } else {
-                    Some(b)
-                }
-            }
-        };
+impl Hash for HashKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // One column's keys are all of one variant: no discriminant.
+        match self {
+            HashKey::Str(s) => state.write(s.as_bytes()),
+            HashKey::Int(i) => state.write_u64(*i as u64),
+            HashKey::Bool(b) => state.write_u8(u8::from(*b)),
+        }
     }
-    best.unwrap_or(Scalar::Int(0))
+}
+
+/// The `group by` column, resolved.
+#[derive(Debug, Clone)]
+struct GroupBy {
+    name: String,
+    ix: usize,
+    /// The column's declared type, which picks hashed or first-match
+    /// grouping (see [`HashKey::of`]).
+    ty: AttrType,
+}
+
+/// The group index's hash: per 8-byte word, a folded 64×64→128-bit
+/// multiply (the construction of aHash's portable fallback), keyed from
+/// [`RandomState`] for every evaluation so that rows cannot be chosen to
+/// collide. It runs once per scanned row, where std's SipHash costs
+/// several times as much for short keys.
+#[derive(Debug, Clone, Copy)]
+struct KeyHash(u64);
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHash;
+
+    fn build_hasher(&self) -> KeyHash {
+        *self
+    }
+}
+
+impl Hasher for KeyHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let product = u128::from(self.0 ^ v) * 0x5851_F42D_4C95_7F2D;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+/// The groups of one evaluation: keys in first-seen order, and per
+/// group a row count and one accumulator per aggregate that reads a
+/// column. Without `group by` there is one group and no key.
+struct Groups<'t> {
+    keys: Vec<Scalar>,
+    index: HashMap<HashKey<'t>, usize, KeyHash>,
+    /// Groups whose key has no [`HashKey`], in creation order.
+    unhashed: Vec<usize>,
+    counts: Vec<usize>,
+    /// `fed.len()` accumulators per group, group after group.
+    accs: Vec<Accumulator<'t>>,
+    /// The aggregates that read a column, in output order; `count`
+    /// needs only the row count.
+    fed: Vec<AggFn>,
+}
+
+impl<'t> Groups<'t> {
+    fn new(aggregates: &[CompiledAggregate]) -> Self {
+        Groups {
+            keys: Vec::new(),
+            index: HashMap::with_hasher(KeyHash(RandomState::new().hash_one(0u64))),
+            unhashed: Vec::new(),
+            counts: Vec::new(),
+            accs: Vec::new(),
+            fed: aggregates
+                .iter()
+                .map(|a| a.func)
+                .filter(|f| *f != AggFn::Count)
+                .collect(),
+        }
+    }
+
+    fn push_group(&mut self) -> usize {
+        self.counts.push(0);
+        self.accs
+            .extend(self.fed.iter().map(|_| Accumulator::new()));
+        self.counts.len() - 1
+    }
+
+    /// The group `key` belongs to, created if new: the first group whose
+    /// key `total_cmp`-equals it. A hash hit is that first match, since
+    /// hashed keys equal only themselves and every older unhashed group
+    /// was checked (and missed) when the hit's group was created.
+    #[inline]
+    fn group_of(&mut self, ty: AttrType, key: &'t Scalar) -> usize {
+        let hashed = HashKey::of(ty, key);
+        if let Some(g) = hashed.as_ref().and_then(|h| self.index.get(h)) {
+            return *g;
+        }
+        self.group_of_unindexed(hashed, key)
+    }
+
+    /// [`Groups::group_of`] past the hash index: a first-match scan (of
+    /// the unhashed groups only, for a hashable key), else a new group.
+    /// Only the key that creates a group is cloned.
+    fn group_of_unindexed(&mut self, hashed: Option<HashKey<'t>>, key: &'t Scalar) -> usize {
+        let equal = |g: &usize| self.keys[*g].total_cmp(key) == Ordering::Equal;
+        let found = match hashed {
+            Some(_) => self.unhashed.iter().copied().find(equal),
+            None => (0..self.keys.len()).find(equal),
+        };
+        if let Some(g) = found {
+            return g;
+        }
+        let g = self.push_group();
+        self.keys.push(key.clone());
+        match hashed {
+            Some(h) => {
+                self.index.insert(h, g);
+            }
+            None => self.unhashed.push(g),
+        }
+        g
+    }
+
+    #[inline]
+    fn feed(&mut self, g: usize, tuple: &'t Tuple) {
+        self.counts[g] += 1;
+        let width = self.fed.len();
+        let accs = &mut self.accs[g * width..(g + 1) * width];
+        for (acc, &func) in accs.iter_mut().zip(&self.fed) {
+            acc.feed(func, tuple);
+        }
+    }
+
+    /// One output row per group: its key (if any), then each aggregate.
+    fn into_rows(self, aggregates: &[CompiledAggregate]) -> Vec<Row> {
+        let width = self.fed.len();
+        let mut keys = self.keys.into_iter();
+        self.counts
+            .iter()
+            .enumerate()
+            .map(|(g, &count)| {
+                let mut accs = self.accs[g * width..(g + 1) * width].iter();
+                let mut values = Vec::with_capacity(aggregates.len() + 1);
+                values.extend(keys.next());
+                values.extend(aggregates.iter().map(|agg| {
+                    match agg.func {
+                        AggFn::Count => Scalar::Int(count as i64),
+                        func => accs
+                            .next()
+                            .expect("an accumulator per aggregate that reads a column")
+                            .finish(func, count),
+                    }
+                }));
+                Row { values, tstamp: 0 }
+            })
+            .collect()
+    }
 }
 
 /// A query compiled against a concrete schema.
@@ -262,7 +539,8 @@ pub struct QueryPlan {
     /// group key or an aggregate name), which only exist after grouping;
     /// it is matched against the output header during evaluation.
     order_by_output: Option<(String, bool)>,
-    group_by: Option<(String, ColRef)>,
+    group_by: Option<GroupBy>,
+    /// With `group by` and no aggregate, the implicit `count`.
     aggregates: Vec<CompiledAggregate>,
     limit: Option<usize>,
 }
@@ -297,15 +575,25 @@ impl QueryPlan {
             .map(|name| {
                 schema
                     .index_of(name)
-                    .map(|ix| (name.to_owned(), ColRef::Index(ix)))
+                    .map(|ix| GroupBy {
+                        name: name.to_owned(),
+                        ix,
+                        ty: schema.attributes()[ix].ty,
+                    })
                     .ok_or_else(|| Error::schema(format!("unknown group by column `{name}`")))
             })
             .transpose()?;
-        let aggregates = query
+        let mut aggregates = query
             .aggregate_list()
             .iter()
             .map(|a| CompiledAggregate::compile(a, schema))
             .collect::<Result<Vec<_>>>()?;
+        if group_by.is_some() && aggregates.is_empty() {
+            aggregates.push(CompiledAggregate {
+                func: AggFn::Count,
+                output_name: "count".to_owned(),
+            });
+        }
         // `order by` over a grouped result addresses *output* columns
         // (the group key or an aggregate name), which only exist after
         // grouping; it is resolved during evaluation in that case.
@@ -365,8 +653,10 @@ impl QueryPlan {
     /// order — the lock-free read path's entry point. Rows stream
     /// straight out of a published
     /// [`TableSnapshot`](crate::snapshot::TableSnapshot) without a
-    /// single tuple clone; only rows that survive filtering pay
-    /// refcount bumps, at projection time.
+    /// single tuple clone, in one pass: each row that passes `since` and
+    /// `where` is fed into its group's aggregates or projected (a
+    /// refcount bump per value), and an unordered projection stops
+    /// reading at `limit`.
     ///
     /// # Errors
     ///
@@ -375,68 +665,46 @@ impl QueryPlan {
     where
         I: IntoIterator<Item = &'a Tuple>,
     {
-        // 1. Window and predicate filtering, by index.
-        let mut selected: Vec<&Tuple> = Vec::new();
-        for t in tuples {
-            if let Some(since) = self.since {
-                if t.tstamp() <= since {
-                    continue;
-                }
-            }
-            if let Some(p) = &self.predicate {
-                if !p.matches(t) {
-                    continue;
-                }
-            }
-            selected.push(t);
+        let selected = tuples.into_iter().filter(|t| {
+            self.since.is_none_or(|since| t.tstamp() > since)
+                && self.predicate.as_ref().is_none_or(|p| p.matches(t))
+        });
+        if self.group_by.is_some() || !self.aggregates.is_empty() {
+            return Ok(self.aggregate(selected));
         }
-
-        // 2. Grouping / aggregation.
-        if let Some((group_name, group_col)) = &self.group_by {
-            return Ok(self.evaluate_grouped(group_name, *group_col, &selected));
-        }
-        if !self.aggregates.is_empty() {
-            let mut columns = Vec::with_capacity(self.aggregates.len());
-            let mut values = Vec::with_capacity(self.aggregates.len());
-            for agg in &self.aggregates {
-                columns.push(agg.output_name.clone());
-                values.push(agg.compute(&selected));
-            }
-            return Ok(ResultSet {
-                columns,
-                rows: vec![Row { values, tstamp: 0 }],
-            });
-        }
-
-        // 3. Ordering (default is time of insertion, which `tuples`
-        //    already follows).
-        if let Some((col, descending)) = self.order_by {
-            selected.sort_by(|a, b| {
-                let (mut sa, mut sb) = (Scalar::Int(0), Scalar::Int(0));
-                let ord = col.load(a, &mut sa).total_cmp(col.load(b, &mut sb));
-                if descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-        }
-
-        // 4. Projection and limit: refcount clones only.
-        let limit = self.limit.unwrap_or(usize::MAX);
-        let columns: Vec<String> = self
+        let columns = self
             .projection
             .iter()
             .map(|(name, _)| name.clone())
             .collect();
-        let rows = selected
+        let limit = self.limit.unwrap_or(usize::MAX);
+        // Without `order by`, rows keep time-of-insertion order, which
+        // `tuples` already follows, and the walk stops at `limit`. The
+        // matches are gathered by reference first so the result rows are
+        // allocated once, at their final count.
+        let matched: Vec<&Tuple> = match self.order_by {
+            None => selected.take(limit).collect(),
+            Some((col, descending)) => {
+                let mut sorted: Vec<&Tuple> = selected.collect();
+                sorted.sort_by(|a, b| {
+                    let ord = sort_cmp(&col.value(a), &col.value(b));
+                    if descending {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
+                sorted.truncate(limit);
+                sorted
+            }
+        };
+        let rows = matched
             .into_iter()
-            .take(limit)
             .map(|t| Row {
                 values: self
                     .projection
                     .iter()
-                    .map(|(_, col)| col.load_cloned(t))
+                    .map(|(_, col)| col.value(t).into_owned())
                     .collect(),
                 tstamp: t.tstamp(),
             })
@@ -444,53 +712,33 @@ impl QueryPlan {
         Ok(ResultSet { columns, rows })
     }
 
-    fn evaluate_grouped(
-        &self,
-        group_name: &str,
-        group_col: ColRef,
-        selected: &[&Tuple],
-    ) -> ResultSet {
-        // Preserve first-seen order of groups (time of insertion).
-        let mut order: Vec<Scalar> = Vec::new();
-        let mut groups: Vec<Vec<&Tuple>> = Vec::new();
-        for t in selected {
-            let key = group_col.load_cloned(t);
-            match order
-                .iter()
-                .position(|k| k.total_cmp(&key) == std::cmp::Ordering::Equal)
-            {
-                Some(ix) => groups[ix].push(t),
-                None => {
-                    order.push(key);
-                    groups.push(vec![t]);
-                }
+    /// Grouped or global aggregation: each row goes straight into its
+    /// group's accumulators. Groups keep first-seen order unless `order
+    /// by` names the group key or an aggregate output; `limit` applies
+    /// after ordering.
+    fn aggregate<'a>(&self, rows: impl Iterator<Item = &'a Tuple>) -> ResultSet {
+        let mut groups = Groups::new(&self.aggregates);
+        let mut columns: Vec<String> = self.group_by.iter().map(|gb| gb.name.clone()).collect();
+        columns.extend(self.aggregates.iter().map(|a| a.output_name.clone()));
+        let Some(gb) = &self.group_by else {
+            // A global aggregate is one row, even over no input; `order
+            // by` and `limit` leave it as it is.
+            let g = groups.push_group();
+            for t in rows {
+                groups.feed(g, t);
             }
-        }
-        let count_fallback = [CompiledAggregate {
-            input: None,
-            kind: AggKind::Count,
-            output_name: "count".to_owned(),
-        }];
-        let aggregates: &[CompiledAggregate] = if self.aggregates.is_empty() {
-            &count_fallback
-        } else {
-            &self.aggregates
+            let rows = groups.into_rows(&self.aggregates);
+            return ResultSet { columns, rows };
         };
-        let mut columns = vec![group_name.to_owned()];
-        columns.extend(aggregates.iter().map(|a| a.output_name.clone()));
-        let mut rows = Vec::with_capacity(groups.len());
-        for (key, members) in order.into_iter().zip(groups) {
-            let mut values = vec![key];
-            for agg in aggregates {
-                values.push(agg.compute(&members));
-            }
-            rows.push(Row { values, tstamp: 0 });
+        for t in rows {
+            let g = groups.group_of(gb.ty, &t.values()[gb.ix]);
+            groups.feed(g, t);
         }
-        // `order by` on the group column or an aggregate output.
+        let mut rows = groups.into_rows(&self.aggregates);
         if let Some((col, descending)) = &self.order_by_output {
             if let Some(ix) = columns.iter().position(|c| c == col) {
                 rows.sort_by(|a, b| {
-                    let ord = a.values[ix].total_cmp(&b.values[ix]);
+                    let ord = sort_cmp(&a.values[ix], &b.values[ix]);
                     if *descending {
                         ord.reverse()
                     } else {
@@ -503,5 +751,96 @@ impl QueryPlan {
             rows.truncate(limit);
         }
         ResultSet { columns, rows }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn column(ty: AttrType, values: Vec<Scalar>) -> (Arc<Schema>, Vec<Tuple>) {
+        let schema = Arc::new(Schema::new("T", vec![("v", ty)]).unwrap());
+        let rows = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Tuple::new(Arc::clone(&schema), vec![v], i as u64 + 1).unwrap())
+            .collect();
+        (schema, rows)
+    }
+
+    fn run(query: Query, schema: &Arc<Schema>, rows: &[Tuple]) -> ResultSet {
+        QueryPlan::compile(&query, schema)
+            .unwrap()
+            .evaluate(rows)
+            .unwrap()
+    }
+
+    #[test]
+    fn integer_sum_overflow_falls_back_to_the_real_sum() {
+        let (a, b) = (i64::MAX - 1, i64::MAX - 2);
+        let (schema, rows) = column(AttrType::Int, vec![Scalar::Int(a), Scalar::Int(b)]);
+        let query = Query::new("T")
+            .aggregate(Aggregate::Sum("v".into()))
+            .aggregate(Aggregate::Avg("v".into()));
+        let rs = run(query.clone(), &schema, &rows);
+        let real = a as f64 + b as f64;
+        assert_eq!(
+            rs.rows[0].values,
+            vec![Scalar::Real(real), Scalar::Real(real / 2.0)]
+        );
+
+        // A sum back in range stays an exact integer.
+        let (schema, rows) = column(AttrType::Int, vec![Scalar::Int(a), Scalar::Int(-a)]);
+        let rs = run(query, &schema, &rows);
+        assert_eq!(rs.rows[0].values, vec![Scalar::Int(0), Scalar::Real(0.0)]);
+    }
+
+    #[test]
+    fn order_by_sorts_nan_after_every_number() {
+        // More rows than the standard sort handles by insertion, where a
+        // comparator that is not a total order can make it panic.
+        let values: Vec<Scalar> = (0..64_i32)
+            .map(|i| match i % 3 {
+                0 => Scalar::Real(f64::NAN),
+                1 => Scalar::Real(f64::from(i) + 0.5),
+                _ => Scalar::Int(i64::from(-i)),
+            })
+            .collect();
+        let (schema, rows) = column(AttrType::Real, values);
+        let rs = run(Query::new("T").order_by("v", false), &schema, &rows);
+        let sorted: Vec<f64> = rs
+            .rows
+            .iter()
+            .map(|r| r.values[0].as_real().unwrap())
+            .collect();
+        let numbers = sorted.iter().take_while(|v| !v.is_nan()).count();
+        assert_eq!(numbers, 42);
+        assert!(sorted[numbers..].iter().all(|v| v.is_nan()));
+        assert!(sorted[..numbers].windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn sort_order_compares_mixed_numbers_exactly() {
+        let big = 1_i64 << 53;
+        let real = Scalar::Real(big as f64);
+        assert_eq!(sort_cmp(&Scalar::Int(big), &real), Ordering::Equal);
+        assert_eq!(sort_cmp(&Scalar::Int(big + 1), &real), Ordering::Greater);
+        assert_eq!(sort_cmp(&real, &Scalar::Int(big + 1)), Ordering::Less);
+        assert_eq!(
+            sort_cmp(&Scalar::Tstamp(u64::MAX), &Scalar::Int(i64::MAX)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            sort_cmp(&Scalar::Int(-2), &Scalar::Real(-1.5)),
+            Ordering::Less
+        );
+        assert_eq!(
+            sort_cmp(&Scalar::Real(f64::INFINITY), &Scalar::Real(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            sort_cmp(&Scalar::Real(-0.0), &Scalar::Int(0)),
+            Ordering::Equal
+        );
     }
 }

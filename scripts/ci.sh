@@ -22,7 +22,8 @@
 #           scatter-gather intact, subscriptions resume exactly-once —
 #           plus the differential property suite proving a partitioned
 #           cluster is indistinguishable from one cache
-#   bench   the benchmark floors: query-window >= 10x
+#   bench   the benchmark floors: query-window >= 10x and group-by
+#           cardinality ratio (16,384-group / 8-group ops/s) >= 0.03
 #           (BENCH_query.json), fan-out >= 10x (BENCH_fanout.json),
 #           WAL group commit >= 5x (BENCH_wal.json), replication
 #           drained + follower reads within 2x (BENCH_repl.json),
@@ -36,6 +37,10 @@
 #           >= 1.6x over a single primary (BENCH_cluster.json),
 #           observability — instrumented RPC and select throughput
 #           both >= 0.95x the metrics(false) build (BENCH_obs.json)
+#   perfbench the end-to-end benchmark's own test
+#           (perfbench/test_repeat.py): every workload's traced run
+#           passes its reference checks, exact counts repeat for one
+#           seed, and the generated inputs change with the seed
 #
 # Every floor is parsed hard by the bench crate's `check_floor` binary:
 # a missing or unparsable metric fails the gate — a bench that did not
@@ -100,9 +105,10 @@ stage_docs() {
 stage_bench() {
     if [ "${CI_SKIP_BENCH:-0}" = "1" ]; then
         # Every floor that would have run is named: a skipped gate must
-        # read as "9 floors NOT checked", never as a quiet pass.
+        # read as "10 floors NOT checked", never as a quiet pass.
         for floor in \
             "query window_speedup >= 10" \
+            "query groupby_card_ratio >= 0.03" \
             "fanout speedup >= 10" \
             "wal group_commit_speedup >= 5" \
             "repl converged + follower_read_ratio >= 0.5" \
@@ -115,10 +121,15 @@ stage_bench() {
         done
         return 0
     fi
-    echo "--> bench floor: query engine window speedup"
+    echo "--> bench floor: query engine window speedup + group-by cardinality"
     cargo run --release -p cep_bench --bin bench_query
     require_floor BENCH_query.json window_speedup 10.0 \
         "100k-row 1% window speedup"
+    # A group lookup that scans every group per row makes the 16,384-group
+    # scan ~1000x slower than the 8-group one (ratio ~0.001); a hashed
+    # lookup keeps it within a few times (ratio ~0.1-0.3).
+    require_floor BENCH_query.json groupby_card_ratio 0.03 \
+        "50k-row group-by, 16384-group / 8-group ops/s"
     echo "--> bench floor: automaton fan-out"
     sh scripts/bench_fanout.sh
     echo "--> bench floor: WAL group commit"
@@ -137,6 +148,14 @@ stage_bench() {
     sh scripts/bench_obs.sh
 }
 
+stage_perfbench() {
+    if [ "${CI_SKIP_BENCH:-0}" = "1" ]; then
+        echo "SKIPPED (CI_SKIP_BENCH=1): perfbench test_repeat.py (reference checks, exact repeats, seed-dependent inputs)"
+        return 0
+    fi
+    python3 perfbench/test_repeat.py
+}
+
 stage_cluster() {
     # The multi-node scenario gate: 2 partitions x (durable primary +
     # durable follower) over real sockets; one partition primary is
@@ -152,7 +171,7 @@ stage_cluster() {
 # Driver.
 # ---------------------------------------------------------------------
 if [ $# -eq 0 ]; then
-    set -- fmt clippy build test docs cluster bench
+    set -- fmt clippy build test docs cluster bench perfbench
 fi
 
 for stage in "$@"; do
@@ -164,8 +183,9 @@ for stage in "$@"; do
         docs)    run_stage docs    stage_docs ;;
         cluster) run_stage cluster stage_cluster ;;
         bench)   run_stage bench   stage_bench ;;
+        perfbench) run_stage perfbench stage_perfbench ;;
         *)
-            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster bench)" >&2
+            echo "unknown stage '${stage}' (known: fmt clippy build test docs cluster bench perfbench)" >&2
             exit 2
             ;;
     esac
