@@ -478,6 +478,7 @@ impl CacheBuilder {
                     TableKind::Ephemeral,
                     Arc::new(timer_schema),
                     16,
+                    None,
                 )
                 .expect("the Timer topic cannot already exist in a fresh cache");
         }
@@ -1145,7 +1146,7 @@ impl Cache {
             } => {
                 let schema =
                     Schema::new(name.clone(), columns.into_iter().map(|c| (c.name, c.ty)))?;
-                self.inner.create_table_tokened(
+                self.inner.create_table(
                     &name,
                     kind,
                     Arc::new(schema),
@@ -1159,25 +1160,17 @@ impl Cache {
                 values,
                 on_duplicate_update,
             } => {
-                let outcome =
-                    self.inner
-                        .insert_values_tokened(&table, values, on_duplicate_update, token)?;
-                Ok(Response::Inserted {
-                    replaced: outcome.replaced,
-                    tstamp: outcome.stored.tstamp(),
-                })
+                let (replaced, tstamp) =
+                    self.insert_with_token(&table, values, on_duplicate_update, token)?;
+                Ok(Response::Inserted { replaced, tstamp })
             }
             Command::InsertBatch {
                 table,
                 rows,
                 on_duplicate_update,
             } => {
-                let tstamps = self.inner.insert_batch_values_tokened(
-                    &table,
-                    rows,
-                    on_duplicate_update,
-                    token,
-                )?;
+                let tstamps =
+                    self.insert_batch_with_token(&table, rows, on_duplicate_update, token)?;
                 Ok(Response::InsertedBatch { tstamps })
             }
             Command::Select(query) => {
@@ -1234,6 +1227,7 @@ impl Cache {
             kind,
             Arc::new(schema),
             capacity.unwrap_or(self.inner.default_stream_capacity),
+            None,
         )
     }
 
@@ -1243,9 +1237,8 @@ impl Cache {
     ///
     /// Returns unknown-table, schema and duplicate-key errors.
     pub fn insert(&self, table: &str, values: Vec<Scalar>) -> Result<Timestamp> {
-        self.inner
-            .insert_values(table, values, false)
-            .map(|o| o.stored.tstamp())
+        self.insert_with_token(table, values, false, None)
+            .map(|(_, tstamp)| tstamp)
     }
 
     /// Insert with `on duplicate key update` semantics (persistent tables).
@@ -1254,9 +1247,8 @@ impl Cache {
     ///
     /// Returns unknown-table and schema errors.
     pub fn upsert(&self, table: &str, values: Vec<Scalar>) -> Result<Timestamp> {
-        self.inner
-            .insert_values(table, values, true)
-            .map(|o| o.stored.tstamp())
+        self.insert_with_token(table, values, true, None)
+            .map(|(_, tstamp)| tstamp)
     }
 
     /// Insert many tuples into one table in a single operation — the
@@ -1276,7 +1268,7 @@ impl Cache {
     /// is applied prefix-wise: rows before the first bad row stay
     /// inserted, the bad row and everything after it are discarded.
     pub fn insert_batch(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<Vec<Timestamp>> {
-        self.inner.insert_batch_values(table, rows, false)
+        self.insert_batch_with_token(table, rows, false, None)
     }
 
     /// Batched [`Cache::upsert`]: like [`Cache::insert_batch`] with
@@ -1286,7 +1278,7 @@ impl Cache {
     ///
     /// See [`Cache::insert_batch`].
     pub fn upsert_batch(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<Vec<Timestamp>> {
-        self.inner.insert_batch_values(table, rows, true)
+        self.insert_batch_with_token(table, rows, true, None)
     }
 
     /// [`Cache::insert`]/[`Cache::upsert`] for a token-stamped request:
@@ -1306,9 +1298,14 @@ impl Cache {
         upsert: bool,
         token: Option<IdemToken>,
     ) -> Result<(bool, Timestamp)> {
+        let opts = WriteOpts {
+            upsert,
+            token,
+            batch: false,
+        };
         self.inner
-            .insert_values_tokened(table, values, upsert, token)
-            .map(|o| (o.replaced, o.stored.tstamp()))
+            .write(table, vec![values], opts)
+            .map(|w| (w.replaced, w.tstamps[0]))
     }
 
     /// [`Cache::insert_batch`]/[`Cache::upsert_batch`] for a
@@ -1326,8 +1323,12 @@ impl Cache {
         upsert: bool,
         token: Option<IdemToken>,
     ) -> Result<Vec<Timestamp>> {
-        self.inner
-            .insert_batch_values_tokened(table, rows, upsert, token)
+        let opts = WriteOpts {
+            upsert,
+            token,
+            batch: true,
+        };
+        self.inner.write(table, rows, opts).map(|w| w.tstamps)
     }
 
     /// Run an ad hoc query.
@@ -1754,6 +1755,30 @@ impl Drop for Cache {
     }
 }
 
+/// How [`CacheInner::write`] stores and reports its rows.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WriteOpts {
+    /// `on duplicate key update`: a row whose key a persistent table
+    /// already holds replaces it instead of failing.
+    pub(crate) upsert: bool,
+    /// Idempotency token to remember the outcome under.
+    pub(crate) token: Option<IdemToken>,
+    /// Remember the outcome as a batch reply
+    /// ([`TokenOutcome::InsertedBatch`]) rather than a single-row one
+    /// ([`TokenOutcome::Inserted`]); the two reply shapes differ on the
+    /// wire even for one row.
+    pub(crate) batch: bool,
+}
+
+/// What [`CacheInner::write`] stored.
+#[derive(Debug)]
+pub(crate) struct Written {
+    /// Whether the last row replaced an existing keyed row.
+    pub(crate) replaced: bool,
+    /// One insertion timestamp per stored row, in row order.
+    pub(crate) tstamps: Vec<Timestamp>,
+}
+
 impl CacheInner {
     pub(crate) fn now(&self) -> Timestamp {
         self.clock.now()
@@ -1778,16 +1803,6 @@ impl CacheInner {
         kind: TableKind,
         schema: Arc<Schema>,
         capacity: usize,
-    ) -> Result<()> {
-        self.create_table_tokened(name, kind, schema, capacity, None)
-    }
-
-    pub(crate) fn create_table_tokened(
-        &self,
-        name: &str,
-        kind: TableKind,
-        schema: Arc<Schema>,
-        capacity: usize,
         token: Option<IdemToken>,
     ) -> Result<()> {
         self.ensure_writable("create table")?;
@@ -1796,10 +1811,7 @@ impl CacheInner {
             .iter()
             .map(|a| (a.name.clone(), a.ty))
             .collect();
-        let table = match kind {
-            TableKind::Ephemeral => Table::ephemeral(schema, capacity),
-            TableKind::Persistent => Table::persistent(schema),
-        };
+        let table = Table::new(kind, schema, capacity);
         // DDL is logged for *every* table kind: a recovered cache has the
         // same topics as the crashed one, even though only persistent
         // tables get their rows back. The record is appended *before* the
@@ -1884,39 +1896,45 @@ impl CacheInner {
         Ok(())
     }
 
-    /// Append one insert/upsert record for `rows` (already applied to the
-    /// locked table behind `guard`) to the log. Returns the commit ticket
-    /// to await once the table lock is released (paired with the record's
-    /// LSN), or `None` when the write needs no logging (durability off,
-    /// or an ephemeral stream). A token, when present, is embedded in the
-    /// record itself ([`wal::ReplayOp::Insert`]'s `token` field): one
-    /// frame, one checksum — the mutation and its token are durable
-    /// atomically.
-    fn wal_log_insert(
+    /// Append the record `encode` frames at its LSN to the log, from the
+    /// critical section that staged the operation on the locked table
+    /// behind `guard`, and advance the table's watermark to it — so the
+    /// shard log's order for a table equals its staging order. Returns
+    /// the commit ticket to await once the table lock is released
+    /// (paired with the record's LSN), or `None` when the write needs no
+    /// logging (durability off, or an ephemeral stream). If the append
+    /// fails, the operations staged below `staged_end` are committed
+    /// anyway — commits are prefix-shaped, so a staged operation left
+    /// invisible would hold back every later commit of the table — and
+    /// the error is returned.
+    fn wal_append(
         &self,
         table_name: &str,
         guard: &mut Table,
-        rows: &[Tuple],
-        upsert: bool,
-        token: Option<(u64, u64, bool)>,
+        staged_end: u64,
+        encode: impl FnOnce(u64) -> Vec<u8>,
     ) -> Result<Option<(WalTicket, u64)>> {
         let Some(wal) = &self.wal else {
             return Ok(None);
         };
-        if guard.kind() != TableKind::Persistent || rows.is_empty() {
+        if guard.kind() != TableKind::Persistent {
             return Ok(None);
         }
         let lsn = wal.next_lsn();
-        let values: Vec<&[Scalar]> = rows.iter().map(Tuple::values).collect();
-        let framed = wal::encode_insert(lsn, table_name, upsert, rows[0].tstamp(), &values, token);
-        let ticket = wal.append(self.tables.shard_index(table_name), &framed)?;
-        guard.note_wal(lsn);
-        Ok(Some((ticket, lsn)))
+        match wal.append(self.tables.shard_index(table_name), &encode(lsn)) {
+            Ok(ticket) => {
+                guard.note_wal(lsn);
+                Ok(Some((ticket, lsn)))
+            }
+            Err(e) => {
+                guard.commit_visible(staged_end);
+                Err(e)
+            }
+        }
     }
 
-    /// Wait for a commit ticket issued by [`CacheInner::wal_log_insert`]
-    /// (after the table lock has been dropped) and run a checkpoint if
-    /// one is due.
+    /// Wait for a DDL commit ticket (after the checkpoint lock has been
+    /// dropped) and run a checkpoint if one is due.
     fn wal_commit(&self, ticket: Option<WalTicket>) -> Result<()> {
         let (Some(wal), Some(ticket)) = (&self.wal, ticket) else {
             return Ok(());
@@ -1965,9 +1983,23 @@ impl CacheInner {
         // already in the rotated files are *older* and will be covered
         // by it (each table's watermark is read under the same lock that
         // appends its records, so snapshot and log can never disagree).
-        wal.rotate_begin()?;
-        // Phase 2: snapshot every table. Locks are taken one table at a
-        // time — inserts into other tables proceed during the copy.
+        let counted = wal.rotate_begin()?;
+        // Phase 2: snapshot every table. Phase 3: the snapshot is
+        // durable; the rotated logs are dead.
+        let result = wal
+            .write_snapshot(&self.snapshot_store())
+            .and_then(|()| wal.rotate_end());
+        if result.is_err() {
+            // Keep the threshold crossed so `maybe_checkpoint` retries.
+            wal.restore_checkpoint_count(counted);
+        }
+        result
+    }
+
+    /// Checkpoint phase 2: copy every table and the token table into a
+    /// snapshot image. Locks are taken one table at a time — inserts
+    /// into other tables proceed during the copy.
+    fn snapshot_store(&self) -> wal::Snapshot {
         let mut tables = Vec::new();
         for (name, table) in self.tables.tables() {
             let guard = table.lock();
@@ -2008,128 +2040,156 @@ impl CacheInner {
             let t = self.tokens.lock();
             (t.entries(), t.high_lsn())
         };
-        wal.write_snapshot(&wal::Snapshot {
+        wal::Snapshot {
             tables,
             tokens,
             token_watermark,
-        })?;
-        // Phase 3: the snapshot is durable; the rotated logs are dead.
-        wal.rotate_end()
+        }
     }
 
     /// Re-apply recovered state: snapshot tables first, then the log
-    /// tail in global LSN order. Everything here bypasses both the log
-    /// (nothing is re-logged) and publication (no automaton can observe
-    /// a replayed tuple — replay happens before the cache is handed to
-    /// the application, and this path never touches the dispatch index).
+    /// tail in global LSN order through [`CacheInner::apply_op`], the
+    /// replay path replication shares. Everything here bypasses both
+    /// the log (nothing is re-logged) and publication (no automaton can
+    /// observe a replayed tuple — replay happens before the cache is
+    /// handed to the application, and this path never touches the
+    /// dispatch index).
     fn apply_recovery(&self, recovery: Recovery) -> Result<()> {
-        {
-            let mut tokens = self.tokens.lock();
-            for (client_id, seq, outcome) in recovery.snapshot.tokens {
-                tokens.record(IdemToken { client_id, seq }, outcome, 0);
+        let Recovery {
+            snapshot,
+            ops,
+            needs_checkpoint,
+        } = recovery;
+        self.load_snapshot_tokens(snapshot.tokens, snapshot.token_watermark);
+        for snap in snapshot.tables {
+            let name = snap.name.clone();
+            let mut table = snapshot_table(snap)?;
+            match self.tables.get(&name) {
+                // Only the built-in Timer exists this early. Its
+                // watermark already claims this open's create record,
+                // and watermarks never regress: a snapshot that lost
+                // that LSN would let a later open reuse it.
+                Ok(existing) => {
+                    table.note_wal(existing.lock().wal_watermark());
+                    existing.replace(table);
+                }
+                Err(_) => self.tables.create(&name, table)?,
             }
-            tokens.set_high_lsn(recovery.snapshot.token_watermark);
         }
-        for snap in recovery.snapshot.tables {
-            let schema = Arc::new(Schema::new(snap.name.clone(), snap.columns)?);
-            if !self.tables.contains(&snap.name) {
-                let table = match snap.kind {
-                    TableKind::Ephemeral => Table::ephemeral(schema, snap.capacity),
-                    TableKind::Persistent => Table::persistent(schema),
+        for op in ops {
+            self.apply_op(op)?;
+        }
+        if needs_checkpoint {
+            // A previous checkpoint was interrupted mid-flight; complete
+            // it now so rotated logs never survive past the snapshot
+            // that makes them redundant.
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Reset the token table to a checkpoint snapshot's entries and
+    /// token watermark (recovery and a follower's snapshot reset; a
+    /// divergence reset discards local token history the same way it
+    /// discards rows).
+    fn load_snapshot_tokens(
+        &self,
+        entries: impl IntoIterator<Item = (u64, u64, TokenOutcome)>,
+        watermark: u64,
+    ) {
+        let mut tokens = self.tokens.lock();
+        *tokens = TokenTable::new(self.token_history);
+        for (client_id, seq, outcome) in entries {
+            tokens.record(IdemToken { client_id, seq }, outcome, 0);
+        }
+        tokens.set_high_lsn(watermark);
+    }
+
+    /// Apply one logged record, from the recovery log tail or the
+    /// replication stream, bypassing the log and publication. Records
+    /// at or below their table's watermark are already reflected (a
+    /// follower's snapshot bootstrap covered them; at recovery
+    /// [`Wal::open`] has filtered them out already) and creates for
+    /// existing tables are skipped. Records for a missing table are
+    /// history a drop superseded — the drop's checkpoint (or a
+    /// follower's divergence reset) outran an older log segment or
+    /// in-flight frame — and are skipped too.
+    fn apply_op(&self, op: ReplayOp) -> Result<()> {
+        match op {
+            ReplayOp::CreateTable {
+                lsn,
+                name,
+                kind,
+                capacity,
+                columns,
+            } => {
+                if !self.tables.contains(&name) {
+                    let schema = Arc::new(Schema::new(name.clone(), columns)?);
+                    let mut table = Table::new(kind, schema, capacity);
+                    table.note_wal(lsn);
+                    self.tables.create(&name, table)?;
+                }
+            }
+            ReplayOp::Insert {
+                lsn,
+                table,
+                upsert,
+                tstamp,
+                rows,
+                token,
+            } => {
+                let Ok(t) = self.tables.get(&table) else {
+                    return Ok(());
                 };
-                self.tables.create(&snap.name, table)?;
-            }
-            let table = self.tables.get(&snap.name)?;
-            let mut guard = table.lock();
-            for (tstamp, values) in snap.rows {
-                guard.insert(values, tstamp, true)?;
-            }
-            guard.note_wal(snap.watermark);
-        }
-        for op in recovery.ops {
-            match op {
-                ReplayOp::CreateTable {
-                    lsn,
-                    name,
-                    kind,
-                    capacity,
-                    columns,
-                } => {
-                    if !self.tables.contains(&name) {
-                        let schema = Arc::new(Schema::new(name.clone(), columns)?);
-                        let mut table = match kind {
-                            TableKind::Ephemeral => Table::ephemeral(schema, capacity),
-                            TableKind::Persistent => Table::persistent(schema),
-                        };
-                        table.note_wal(lsn);
-                        self.tables.create(&name, table)?;
-                    }
+                let mut guard = t.lock();
+                if guard.wal_watermark() >= lsn {
+                    // The bootstrap snapshot carried the token table too.
+                    return Ok(());
                 }
-                ReplayOp::Insert {
-                    lsn,
-                    table,
-                    upsert,
-                    tstamp,
-                    rows,
-                    token,
-                } => {
-                    // A record for a table the snapshot no longer has:
-                    // the table was dropped after this record was
-                    // logged (the drop's checkpoint superseded it, but
-                    // an older log segment can still replay on an
-                    // interrupted-checkpoint recovery). Skip, like a
-                    // watermark-covered record.
-                    let Ok(t) = self.tables.get(&table) else {
-                        continue;
+                let nrows = rows.len();
+                let mut replaced = false;
+                for values in rows {
+                    replaced = guard.insert(values, tstamp, upsert)?.replaced;
+                }
+                guard.note_wal(lsn);
+                if let Some((client_id, seq, batch)) = token {
+                    // Rebuild the remembered outcome exactly as the
+                    // original request reported it, so a client retrying
+                    // across a crash or a `promote()` failover gets the
+                    // same reply.
+                    let outcome = if batch {
+                        TokenOutcome::InsertedBatch {
+                            tstamps: vec![tstamp; nrows],
+                        }
+                    } else {
+                        TokenOutcome::Inserted { replaced, tstamp }
                     };
-                    let mut guard = t.lock();
-                    let nrows = rows.len();
-                    let mut replaced = false;
-                    for values in rows {
-                        replaced = guard.insert(values, tstamp, upsert)?.replaced;
-                    }
-                    guard.note_wal(lsn);
-                    if let Some((client_id, seq, batch)) = token {
-                        // Rebuild the remembered outcome exactly as the
-                        // original request reported it, so a client
-                        // retrying across the crash gets the same reply.
-                        let outcome = if batch {
-                            TokenOutcome::InsertedBatch {
-                                tstamps: vec![tstamp; nrows],
-                            }
-                        } else {
-                            TokenOutcome::Inserted { replaced, tstamp }
-                        };
-                        self.tokens
-                            .lock()
-                            .record(IdemToken { client_id, seq }, outcome, lsn);
-                    }
-                }
-                ReplayOp::Remove { lsn, table, key } => {
-                    let Ok(t) = self.tables.get(&table) else {
-                        continue;
-                    };
-                    let mut guard = t.lock();
-                    guard.remove(&key)?;
-                    guard.note_wal(lsn);
-                }
-                ReplayOp::Token {
-                    lsn,
-                    client_id,
-                    seq,
-                    outcome,
-                } => {
                     self.tokens
                         .lock()
                         .record(IdemToken { client_id, seq }, outcome, lsn);
                 }
             }
-        }
-        if recovery.needs_checkpoint {
-            // A previous checkpoint was interrupted mid-flight; complete
-            // it now so rotated logs never survive past the snapshot
-            // that makes them redundant.
-            self.checkpoint()?;
+            ReplayOp::Remove { lsn, table, key } => {
+                let Ok(t) = self.tables.get(&table) else {
+                    return Ok(());
+                };
+                let mut guard = t.lock();
+                if guard.wal_watermark() < lsn {
+                    guard.remove(&key)?;
+                    guard.note_wal(lsn);
+                }
+            }
+            // Recording is an idempotent overwrite, so re-delivery needs
+            // no watermark check.
+            ReplayOp::Token {
+                lsn,
+                client_id,
+                seq,
+                outcome,
+            } => self
+                .tokens
+                .lock()
+                .record(IdemToken { client_id, seq }, outcome, lsn),
         }
         Ok(())
     }
@@ -2194,73 +2254,110 @@ impl CacheInner {
         tuples.len()
     }
 
-    /// Insert and publish: the unification step. The per-table lock is held
-    /// across both the buffer append and the enqueueing onto subscriber
-    /// channels so that every automaton observes tuples in strict
-    /// time-of-insertion order. The table-store stripe lock is released
-    /// before the table lock is taken, so inserts into other tables are
-    /// never blocked by this one.
-    pub(crate) fn insert_values(
+    /// Store and publish: the unification step, and the cache's one
+    /// write entry — SQL and API inserts, upserts and batches, automaton
+    /// `publish`, association upserts and Timer heartbeats all come
+    /// through here. The per-table lock is held across staging, the log
+    /// append and the enqueueing onto subscriber channels, so every
+    /// automaton observes tuples in strict time-of-insertion order and
+    /// the rows of one write arrive as a contiguous run that tuples from
+    /// concurrent writers never interleave. The table-store stripe lock
+    /// is released before the table lock is taken, so writes to other
+    /// tables are never blocked by this one.
+    ///
+    /// A write is one atomic insertion event: the clock is read once,
+    /// under the table lock, and every row carries that timestamp, so a
+    /// batch can never straddle a `since τ` window boundary.
+    ///
+    /// Rows are applied *prefix-wise*: they are validated and staged one
+    /// at a time, and the first bad row aborts the remainder while the
+    /// rows before it stay stored (and published). All-or-nothing
+    /// batches would require either a second validation pass or undo of
+    /// published deliveries, both of which the hot path cannot afford;
+    /// callers that need atomicity validate before batching.
+    pub(crate) fn write(
         &self,
         table_name: &str,
-        values: Vec<Scalar>,
-        on_duplicate_update: bool,
-    ) -> Result<crate::table::InsertOutcome> {
-        self.insert_values_tokened(table_name, values, on_duplicate_update, None)
-    }
-
-    pub(crate) fn insert_values_tokened(
-        &self,
-        table_name: &str,
-        values: Vec<Scalar>,
-        on_duplicate_update: bool,
-        token: Option<IdemToken>,
-    ) -> Result<crate::table::InsertOutcome> {
+        rows: Vec<Vec<Scalar>>,
+        opts: WriteOpts,
+    ) -> Result<Written> {
         self.ensure_writable("insert")?;
-        self.ensure_owned(table_name, std::slice::from_ref(&values))?;
+        // Ownership is validated for the *whole* write before any row
+        // is staged — unlike schema errors, a misrouted batch applies
+        // nothing, so the redirected retry against the owning partition
+        // can resend it verbatim.
+        self.ensure_owned(table_name, &rows)?;
         let table = self.tables.get(table_name)?;
         let mut guard = table.lock();
-        let outcome = guard.stage_insert(values, self.now(), on_duplicate_update)?;
-        let staged_end = guard.staged_tail();
-        // The log record is appended in the same critical section that
-        // staged the row, so the shard log's order for this table equals
-        // its staging order; the durability *wait* happens after the lock
-        // drops, which is what lets concurrent inserters group-commit.
-        let ticket = match self.wal_log_insert(
-            table_name,
-            &mut guard,
-            std::slice::from_ref(&outcome.stored),
-            on_duplicate_update,
-            token.map(|t| (t.client_id, t.seq, false)),
-        ) {
-            Ok(ticket) => ticket,
-            Err(e) => {
-                // The append failed but the row is staged; commit it
-                // (matching the old apply-then-log semantics, where a
-                // log error left the row in place) and surface the
-                // error.
-                guard.commit_visible(staged_end);
-                return Err(e);
+        let tstamp = self.now();
+        let mut stored = Vec::with_capacity(rows.len());
+        let mut replaced = false;
+        let mut result = Ok(());
+        for values in rows {
+            match guard.stage_insert(values, tstamp, opts.upsert) {
+                Ok(outcome) => {
+                    replaced = outcome.replaced;
+                    stored.push(outcome.stored);
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             }
+        }
+        // The staged prefix commits below as one visibility event.
+        let staged_end = guard.staged_tail();
+        // A write that failed mid-way records no token: its applied
+        // prefix stays at-least-once (documented limitation), and a
+        // token would make a retry of the *whole* batch deduplicate
+        // against a partial application.
+        let token = opts.token.filter(|_| result.is_ok());
+        // The applied prefix becomes one log record, with the token
+        // embedded in it ([`wal::ReplayOp::Insert`]'s `token` field):
+        // one frame, one checksum — the mutation and its token are
+        // durable atomically. The durability *wait* happens after the
+        // lock drops, which is what lets concurrent writers group-commit.
+        let ticket = if stored.is_empty() {
+            None
+        } else {
+            self.wal_append(table_name, &mut guard, staged_end, |lsn| {
+                let values: Vec<&[Scalar]> = stored.iter().map(Tuple::values).collect();
+                let token = token.map(|t| (t.client_id, t.seq, opts.batch));
+                wal::encode_insert(
+                    lsn,
+                    table_name,
+                    opts.upsert,
+                    stored[0].tstamp(),
+                    &values,
+                    token,
+                )
+            })?
         };
+        let tstamps: Vec<Timestamp> = stored.iter().map(Tuple::tstamp).collect();
         if let Some(t) = token {
             // Recorded under the table lock: once the table snapshot of a
-            // checkpoint has observed this insert, the (later) token
+            // checkpoint has observed this write, the (later) token
             // snapshot is guaranteed to hold its token too. For an
             // unlogged (in-memory) table the token survives reconnects
             // but not crashes — matching the table's own semantics.
-            self.tokens.lock().record(
-                t,
+            let outcome = if opts.batch {
+                TokenOutcome::InsertedBatch {
+                    tstamps: tstamps.clone(),
+                }
+            } else {
                 TokenOutcome::Inserted {
-                    replaced: outcome.replaced,
-                    tstamp: outcome.stored.tstamp(),
-                },
-                ticket.map_or(0, |(_, lsn)| lsn),
-            );
+                    replaced,
+                    tstamp: tstamps.first().copied().unwrap_or(tstamp),
+                }
+            };
+            self.tokens
+                .lock()
+                .record(t, outcome, ticket.map_or(0, |(_, lsn)| lsn));
         }
-        self.publish_locked(table_name, std::slice::from_ref(&outcome.stored));
+        self.publish_locked(table_name, &stored);
         self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
-        Ok(outcome)
+        result?;
+        Ok(Written { replaced, tstamps })
     }
 
     /// Make a staged prefix visible to the lock-free read path,
@@ -2297,114 +2394,6 @@ impl CacheInner {
         durable?;
         self.maybe_checkpoint();
         Ok(())
-    }
-
-    /// Insert many rows into one table under a single table-lock
-    /// acquisition, publishing each stored tuple in row order.
-    ///
-    /// The batch is applied *prefix-wise*: rows are validated and inserted
-    /// one at a time, and the first bad row aborts the remainder while the
-    /// rows before it stay inserted (and published). All-or-nothing
-    /// batches would require either a second validation pass or undo of
-    /// published deliveries, both of which the hot path cannot afford;
-    /// callers that need atomicity validate before batching.
-    ///
-    /// Subscribed automata observe the batch as a contiguous run of
-    /// deliveries in row order — the lock is held across the whole batch,
-    /// so tuples from concurrent writers can never interleave with it.
-    pub(crate) fn insert_batch_values(
-        &self,
-        table_name: &str,
-        rows: Vec<Vec<Scalar>>,
-        on_duplicate_update: bool,
-    ) -> Result<Vec<Timestamp>> {
-        self.insert_batch_values_tokened(table_name, rows, on_duplicate_update, None)
-    }
-
-    pub(crate) fn insert_batch_values_tokened(
-        &self,
-        table_name: &str,
-        rows: Vec<Vec<Scalar>>,
-        on_duplicate_update: bool,
-        token: Option<IdemToken>,
-    ) -> Result<Vec<Timestamp>> {
-        self.ensure_writable("insert")?;
-        // Ownership is validated for the *whole* batch before any row
-        // is staged — unlike schema errors (prefix-applied, documented
-        // above), a misrouted batch applies nothing, so the redirected
-        // retry against the owning partition can resend it verbatim.
-        self.ensure_owned(table_name, &rows)?;
-        let table = self.tables.get(table_name)?;
-        // A batch is one atomic insertion event: the clock is read once
-        // and every row carries the same insertion timestamp, so a batch
-        // can never straddle a `since τ` window boundary. Subscribers are
-        // likewise resolved once per batch; when nobody is watching the
-        // topic, the stored tuples are not even collected.
-        let tstamp = self.now();
-        let mut tstamps = Vec::with_capacity(rows.len());
-        let mut guard = table.lock();
-        // Resolved under the table lock — like the single-insert path —
-        // so an automaton whose registration completed before this batch
-        // took the lock can never miss the batch. The stored tuples are
-        // also needed when the table is durable: the applied prefix of
-        // the batch becomes one log record.
-        let watched = !self.dispatch.topic(table_name).current().is_empty();
-        let durable = self.wal.is_some() && guard.kind() == TableKind::Persistent;
-        let mut stored = Vec::new();
-        if watched || durable {
-            stored.reserve(rows.len());
-        }
-        let mut result = Ok(());
-        for values in rows {
-            match guard.stage_insert(values, tstamp, on_duplicate_update) {
-                Ok(outcome) => {
-                    tstamps.push(outcome.stored.tstamp());
-                    if watched || durable {
-                        stored.push(outcome.stored);
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // The staged prefix (everything before the first bad row)
-        // commits together below, as one visibility event.
-        let staged_end = guard.staged_tail();
-        // A batch that failed mid-way records no token: its applied
-        // prefix stays at-least-once (documented limitation), and
-        // embedding a token would make a retry of the *whole* batch
-        // deduplicate against a partial application.
-        let record_token = if result.is_ok() { token } else { None };
-        let ticket = match self.wal_log_insert(
-            table_name,
-            &mut guard,
-            &stored,
-            on_duplicate_update,
-            record_token.map(|t| (t.client_id, t.seq, true)),
-        ) {
-            Ok(ticket) => ticket,
-            Err(e) => {
-                guard.commit_visible(staged_end);
-                return Err(e);
-            }
-        };
-        if let Some(t) = record_token {
-            self.tokens.lock().record(
-                t,
-                TokenOutcome::InsertedBatch {
-                    tstamps: tstamps.clone(),
-                },
-                ticket.map_or(0, |(_, lsn)| lsn),
-            );
-        }
-        if watched {
-            self.publish_locked(table_name, &stored);
-        }
-        self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
-        result?;
-        Ok(tstamps)
     }
 
     /// Dispatch `tuples` (in order) to the mailboxes of the automata
@@ -2533,18 +2522,10 @@ impl CacheInner {
 
     pub(crate) fn persistent_remove(&self, table: &str, key: &str) -> Result<Option<Tuple>> {
         self.ensure_writable("remove")?;
-        // Removals are keyed, so ownership is checked on the key
-        // directly — same rule as inserts, same redirectable error.
-        if table != TIMER_TOPIC && !table.starts_with('\u{1}') {
-            if let Some(spec) = self.cluster.read().clone() {
-                let owner = spec.owner_of(key);
-                if owner != spec.index() {
-                    return Err(Error::WrongPartition {
-                        partition: owner as u64,
-                    });
-                }
-            }
-        }
+        // Removals are keyed: the key is the routing key of any row that
+        // starts with it, so ownership follows the same rule as inserts
+        // and fails with the same redirectable error.
+        self.ensure_owned(table, &[vec![Scalar::Str(Arc::from(key))]])?;
         let t = self.tables.get(table)?;
         let mut guard = t.lock();
         let removed = guard.stage_remove(key)?;
@@ -2553,24 +2534,10 @@ impl CacheInner {
         // absent): a remove is idempotent to replay, and logging every
         // call keeps the log a faithful, one-record-per-operation
         // transcript of the mutation history.
-        let ticket = match &self.wal {
-            Some(wal) if guard.kind() == TableKind::Persistent => {
-                let lsn = wal.next_lsn();
-                let framed = wal::encode_remove(lsn, table, key);
-                match wal.append(self.tables.shard_index(table), &framed) {
-                    Ok(ticket) => {
-                        guard.note_wal(lsn);
-                        Some(ticket)
-                    }
-                    Err(e) => {
-                        guard.commit_visible(staged_end);
-                        return Err(e);
-                    }
-                }
-            }
-            _ => None,
-        };
-        self.commit_staged(&t, guard, staged_end, ticket)?;
+        let ticket = self.wal_append(table, &mut guard, staged_end, |lsn| {
+            wal::encode_remove(lsn, table, key)
+        })?;
+        self.commit_staged(&t, guard, staged_end, ticket.map(|(t, _)| t))?;
         Ok(removed)
     }
 
@@ -2596,7 +2563,15 @@ impl CacheInner {
                 )));
             }
         }
-        self.insert_values(table_name, values, true).map(|_| ())
+        self.write(
+            table_name,
+            vec![values],
+            WriteOpts {
+                upsert: true,
+                ..WriteOpts::default()
+            },
+        )
+        .map(|_| ())
     }
 
     pub(crate) fn tick_timer(&self) -> Result<Timestamp> {
@@ -2607,8 +2582,12 @@ impl CacheInner {
             // heartbeat silently idles until promotion.
             return Ok(now);
         }
-        self.insert_values(TIMER_TOPIC, vec![Scalar::Tstamp(now)], false)
-            .map(|o| o.stored.tstamp())
+        self.write(
+            TIMER_TOPIC,
+            vec![vec![Scalar::Tstamp(now)]],
+            WriteOpts::default(),
+        )
+        .map(|w| w.tstamps[0])
     }
 
     // -----------------------------------------------------------------
@@ -2660,48 +2639,26 @@ impl CacheInner {
             }
         }
         for snap in &snapshot.tables {
-            let schema = Arc::new(Schema::new(snap.name.clone(), snap.columns.clone())?);
-            // Populate the replacement fully *before* it becomes
+            // The replacement is populated fully *before* it becomes
             // visible: concurrent follower reads must see the old state
             // or the snapshot state, never an empty or half-loaded
-            // table in between.
-            let mut fresh = match snap.kind {
-                TableKind::Ephemeral => Table::ephemeral(schema, snap.capacity),
-                TableKind::Persistent => Table::persistent(schema),
-            };
-            for (tstamp, values) in &snap.rows {
-                fresh.insert(values.clone(), *tstamp, true)?;
-            }
-            fresh.note_wal(snap.watermark);
-            if self.tables.contains(&snap.name) {
+            // table in between. Its watermark is the snapshot's even
+            // when that is lower than the old table's: stale watermarks
+            // from a discarded history would suppress the new primary's
+            // records at reused LSNs.
+            let fresh = snapshot_table(snap.clone())?;
+            match self.tables.get(&snap.name) {
                 // Swap through the handle, not into it: `replace`
                 // rebinds the fresh table's snapshot and key map onto
                 // the handle's reader-shared state, so follower reads
                 // holding the handle flip atomically from old state to
                 // snapshot state. (A plain `*lock() = fresh` would
                 // strand readers on the orphaned published slot.)
-                self.tables.get(&snap.name)?.replace(fresh);
-            } else {
-                self.tables.create(&snap.name, fresh)?;
+                Ok(existing) => existing.replace(fresh),
+                Err(_) => self.tables.create(&snap.name, fresh)?,
             }
         }
-        // The token table is reset wholesale too: a divergence reset
-        // discards local token history the same way it discards rows.
-        {
-            let mut tokens = self.tokens.lock();
-            *tokens = TokenTable::new(self.token_history);
-            for (client_id, seq, outcome) in &snapshot.tokens {
-                tokens.record(
-                    IdemToken {
-                        client_id: *client_id,
-                        seq: *seq,
-                    },
-                    outcome.clone(),
-                    0,
-                );
-            }
-            tokens.set_high_lsn(snapshot.token_watermark);
-        }
+        self.load_snapshot_tokens(snapshot.tokens.iter().cloned(), snapshot.token_watermark);
         let high = wal::snapshot_high_watermark(&snapshot);
         if let Some(wal) = &self.wal {
             wal.reset_to_snapshot(&snapshot)?;
@@ -2738,7 +2695,8 @@ impl CacheInner {
                 hi = hi.max(lsn);
                 continue;
             }
-            self.repl_apply_op(&op)?;
+            let shard = self.tables.shard_index(op.table());
+            self.apply_op(op)?;
             // Every frame of new history is appended — including ones
             // whose apply was a no-op, like the primary's create record
             // for a table this replica already has (its own built-in
@@ -2749,7 +2707,6 @@ impl CacheInner {
             // chained followers. Recovery dedups replayed creates, so
             // the duplicate-looking record is harmless there.
             if let Some(wal) = &self.wal {
-                let shard = self.tables.shard_index(op.table());
                 let framed = wal::frame(payload);
                 let ticket = wal.append(shard, &framed)?;
                 last_tickets.insert(ticket.shard_index(), ticket);
@@ -2768,115 +2725,18 @@ impl CacheInner {
         self.maybe_checkpoint();
         Ok(self.repl_applied_lsn.load(Ordering::Acquire))
     }
+}
 
-    /// Apply one replicated record. Records at or below a table's
-    /// watermark are already reflected (the snapshot bootstrap covered
-    /// them) and creates for existing tables are skipped — the same
-    /// filters that make recovery replay exact.
-    fn repl_apply_op(&self, op: &ReplayOp) -> Result<()> {
-        match op {
-            ReplayOp::CreateTable {
-                lsn,
-                name,
-                kind,
-                capacity,
-                columns,
-            } => {
-                if self.tables.contains(name) {
-                    return Ok(());
-                }
-                let schema = Arc::new(Schema::new(name.clone(), columns.clone())?);
-                let mut table = match kind {
-                    TableKind::Ephemeral => Table::ephemeral(schema, *capacity),
-                    TableKind::Persistent => Table::persistent(schema),
-                };
-                table.note_wal(*lsn);
-                self.tables.create(name, table)?;
-                Ok(())
-            }
-            ReplayOp::Insert {
-                lsn,
-                table,
-                upsert,
-                tstamp,
-                rows,
-                token,
-            } => {
-                // The table may have been dropped locally (divergence
-                // reset) while older frames for it are still in
-                // flight; they are history the reset already
-                // superseded.
-                let Ok(t) = self.tables.get(table) else {
-                    return Ok(());
-                };
-                let mut guard = t.lock();
-                if guard.wal_watermark() >= *lsn {
-                    // Already reflected by a snapshot bootstrap — which
-                    // carried the token table too.
-                    return Ok(());
-                }
-                let mut replaced = false;
-                for values in rows {
-                    replaced = guard.insert(values.clone(), *tstamp, *upsert)?.replaced;
-                }
-                guard.note_wal(*lsn);
-                if let Some((client_id, seq, batch)) = token {
-                    // The follower mirrors the primary's token table so a
-                    // client retrying across `promote()` failover still
-                    // deduplicates.
-                    let outcome = if *batch {
-                        TokenOutcome::InsertedBatch {
-                            tstamps: vec![*tstamp; rows.len()],
-                        }
-                    } else {
-                        TokenOutcome::Inserted {
-                            replaced,
-                            tstamp: *tstamp,
-                        }
-                    };
-                    self.tokens.lock().record(
-                        IdemToken {
-                            client_id: *client_id,
-                            seq: *seq,
-                        },
-                        outcome,
-                        *lsn,
-                    );
-                }
-                Ok(())
-            }
-            ReplayOp::Remove { lsn, table, key } => {
-                let Ok(t) = self.tables.get(table) else {
-                    return Ok(());
-                };
-                let mut guard = t.lock();
-                if guard.wal_watermark() >= *lsn {
-                    return Ok(());
-                }
-                guard.remove(key)?;
-                guard.note_wal(*lsn);
-                Ok(())
-            }
-            ReplayOp::Token {
-                lsn,
-                client_id,
-                seq,
-                outcome,
-            } => {
-                // Recording is an idempotent overwrite, so re-delivery
-                // needs no watermark check.
-                self.tokens.lock().record(
-                    IdemToken {
-                        client_id: *client_id,
-                        seq: *seq,
-                    },
-                    outcome.clone(),
-                    *lsn,
-                );
-                Ok(())
-            }
-        }
+/// Build the populated table a checkpoint snapshot describes, at the
+/// snapshot's watermark; callers install it in the store.
+fn snapshot_table(snap: SnapshotTable) -> Result<Table> {
+    let schema = Arc::new(Schema::new(snap.name, snap.columns)?);
+    let mut table = Table::new(snap.kind, schema, snap.capacity);
+    for (tstamp, values) in snap.rows {
+        table.insert(values, tstamp, true)?;
     }
+    table.note_wal(snap.watermark);
+    Ok(table)
 }
 
 // No Drop impl is needed on CacheInner: dropping it drops the Executor,

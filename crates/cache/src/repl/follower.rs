@@ -1,7 +1,9 @@
 //! The follower side of replication: a background thread that dials the
 //! primary, subscribes from the replica's applied watermark, and feeds
-//! every shipped snapshot and frame batch through the cache's
-//! recovery-style apply path.
+//! every shipped snapshot and frame batch to the cache: frames replay
+//! through `CacheInner::apply_op`, the function crash recovery replays
+//! its log tail with, and a snapshot loads through the same
+//! snapshot-table and token-table helpers recovery uses.
 //!
 //! The thread owns the connection for the replica's whole life and
 //! survives primary restarts: a failed dial or torn stream is retried

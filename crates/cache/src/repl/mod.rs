@@ -1,9 +1,8 @@
 //! Replication: WAL shipping from a primary to read-scaling follower
 //! replicas, with failover promotion.
 //!
-//! PR 4 gave every persistent table a checksummed, LSN-ordered
-//! write-ahead log; this module turns that log into a **replication
-//! stream**. The moving parts:
+//! Every persistent table has a checksummed, LSN-ordered write-ahead
+//! log; this module turns that log into a **replication stream**. The moving parts:
 //!
 //! * **Tailer + hub** (`hub`). The WAL ships every sealed chunk (the
 //!   bytes a group-commit leader or flush just wrote to a log file) to
@@ -29,9 +28,10 @@
 //!   (or [`CacheBuilder::follow`](crate::CacheBuilder::follow)) opens a
 //!   read-only replica: a background thread subscribes from
 //!   [`Cache::replica_lsn`](crate::Cache::replica_lsn), applies frames
-//!   through the same never-publishing apply path as crash recovery
-//!   (automata on a follower observe *no* replicated traffic, exactly
-//!   like [`Cache::recover`](crate::Cache::recover)), and survives
+//!   through `CacheInner::apply_op`, the one never-publishing replay
+//!   function crash recovery also uses for its log tail (automata on a
+//!   follower observe *no* replicated traffic, exactly like
+//!   [`Cache::recover`](crate::Cache::recover)), and survives
 //!   primary restarts with capped exponential backoff plus jitter. A
 //!   follower built with its own
 //!   [`durability`](crate::CacheBuilder::durability) directory appends

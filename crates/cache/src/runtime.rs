@@ -56,7 +56,7 @@ use gapl::event::{Scalar, Timestamp, Tuple};
 use gapl::vm::{HostInterface, Vm};
 use gapl::Program;
 
-use crate::cache::CacheInner;
+use crate::cache::{CacheInner, WriteOpts};
 
 /// Identifies a registered automaton; returned by registration and used to
 /// manage the automaton later (§5).
@@ -316,8 +316,12 @@ impl HostInterface for CacheHost {
 
     fn publish(&mut self, topic: &str, values: Vec<Scalar>) -> gapl::Result<()> {
         let cache = self.cache()?;
+        let opts = WriteOpts {
+            upsert: true,
+            ..WriteOpts::default()
+        };
         cache
-            .insert_values(topic, values, true)
+            .write(topic, vec![values], opts)
             .map(|_| ())
             .map_err(|e| gapl::Error::runtime(e.to_string()))
     }

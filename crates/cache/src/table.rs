@@ -94,6 +94,15 @@ impl Table {
         Table::Persistent(PersistentTable::new(schema))
     }
 
+    /// Create a table of either kind; `capacity` is the stream window
+    /// and is ignored for relations.
+    pub(crate) fn new(kind: TableKind, schema: Arc<Schema>, capacity: usize) -> Table {
+        match kind {
+            TableKind::Ephemeral => Table::ephemeral(schema, capacity),
+            TableKind::Persistent => Table::persistent(schema),
+        }
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         match self {

@@ -1323,7 +1323,32 @@ impl Wal {
     /// acknowledged writes. The live log is appended onto the existing
     /// rotated file instead (replay sorts by LSN, so intra-file order
     /// never matters), and only then truncated.
-    pub fn rotate_begin(&self) -> Result<()> {
+    ///
+    /// Returns the records counted toward [`Wal::checkpoint_due`] so
+    /// far, which the counter gives up here, before the first shard
+    /// rotates: every record appended from now on — even one that lands
+    /// in a log before its rotation, and so is covered by the snapshot
+    /// anyway — counts toward the *next* checkpoint. A checkpoint that
+    /// fails after this returns hands the count back through
+    /// [`Wal::restore_checkpoint_count`], so the threshold stays crossed
+    /// and the next write retries it.
+    pub fn rotate_begin(&self) -> Result<u64> {
+        let counted = self.records_since_checkpoint.swap(0, Ordering::Relaxed);
+        let rotated = self.rotate_shards();
+        if rotated.is_err() {
+            self.restore_checkpoint_count(counted);
+        }
+        rotated.map(|()| counted)
+    }
+
+    /// Give back a count taken by [`Wal::rotate_begin`] whose checkpoint
+    /// failed.
+    pub(crate) fn restore_checkpoint_count(&self, counted: u64) {
+        self.records_since_checkpoint
+            .fetch_add(counted, Ordering::Relaxed);
+    }
+
+    fn rotate_shards(&self) -> Result<()> {
         for (idx, s) in self.shards.iter().enumerate() {
             let mut state = lock(&s.state);
             while state.syncing {
@@ -1365,11 +1390,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Checkpoint phase 3: the snapshot is durable, so every rotated log
-    /// (whose records it covers) can go — and so can any orphan live log
-    /// from a larger previous `shard_count` (no append can ever reach a
-    /// shard index at or beyond the current count, so its records are
-    /// all in the snapshot too).
     /// Read everything durable on disk for a replication bootstrap: the
     /// raw snapshot file (if any) and every complete framed record in
     /// the log files, re-framed, deduplicated and sorted by LSN.
@@ -1431,6 +1451,13 @@ impl Wal {
         Ok(())
     }
 
+    /// Checkpoint phase 3: the snapshot is durable, so every rotated log
+    /// (whose records it covers) can go — and so can any orphan live log
+    /// from a larger previous `shard_count` (no append can ever reach a
+    /// shard index at or beyond the current count, so its records are
+    /// all in the snapshot too). The checkpoint counter is left alone:
+    /// [`Wal::rotate_begin`] already took the records this checkpoint
+    /// covers, and the ones appended since belong to the next.
     pub fn rotate_end(&self) -> Result<()> {
         for idx in existing_shards(&self.dir)? {
             let rotated = rotated_path(&self.dir, idx);
@@ -1445,7 +1472,6 @@ impl Wal {
             }
         }
         fsync_dir(&self.dir)?;
-        self.records_since_checkpoint.store(0, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1623,5 +1649,39 @@ mod tests {
         assert!(snapshot.tokens.is_empty());
         assert_eq!(snapshot.token_watermark, 0);
         assert_eq!(scan_snapshot_high_watermark(&bytes).unwrap(), 9);
+    }
+
+    #[test]
+    fn records_appended_during_a_checkpoint_count_toward_the_next() {
+        let dir = std::env::temp_dir().join(format!("pscache-wal-ckpt-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (wal, _) = Wal::open(&dir, 2, SyncPolicy::Group, 4).unwrap();
+        let append = |lsn| wal.append(0, &encode_remove(lsn, "T", "k")).unwrap();
+        for lsn in 1..=4 {
+            append(lsn);
+        }
+        assert!(wal.checkpoint_due());
+        // Phase 1 takes the four records the checkpoint covers; three
+        // more arrive while the snapshot is being written.
+        assert_eq!(wal.rotate_begin().unwrap(), 4);
+        for lsn in 5..=7 {
+            append(lsn);
+        }
+        wal.write_snapshot(&Snapshot::default()).unwrap();
+        wal.rotate_end().unwrap();
+        assert!(!wal.checkpoint_due());
+        append(8);
+        assert!(
+            wal.checkpoint_due(),
+            "the 3 mid-checkpoint records were dropped"
+        );
+        // A checkpoint that fails after phase 1 hands its count back.
+        let counted = wal.rotate_begin().unwrap();
+        assert_eq!(counted, 4);
+        assert!(!wal.checkpoint_due());
+        wal.restore_checkpoint_count(counted);
+        assert!(wal.checkpoint_due());
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -69,16 +69,6 @@ run_stage() {
     STAGES_RUN="${STAGES_RUN}${stage_name} "
 }
 
-# require_floor <json-file> <key> <floor> <description>
-# Delegates to the bench crate's `check_floor` binary, which parses the
-# snapshot with a real number scanner (scientific notation, negative
-# values and reformatting are handled, unlike the `grep -o` scraper it
-# replaced) and fails hard when the key is absent, unparsable, or below
-# the floor.
-require_floor() {
-    cargo run --release -q -p cep_bench --bin check_floor -- "$@"
-}
-
 # ---------------------------------------------------------------------
 # Stages.
 # ---------------------------------------------------------------------
@@ -122,14 +112,7 @@ stage_bench() {
         return 0
     fi
     echo "--> bench floor: query engine window speedup + group-by cardinality"
-    cargo run --release -p cep_bench --bin bench_query
-    require_floor BENCH_query.json window_speedup 10.0 \
-        "100k-row 1% window speedup"
-    # A group lookup that scans every group per row makes the 16,384-group
-    # scan ~1000x slower than the 8-group one (ratio ~0.001); a hashed
-    # lookup keeps it within a few times (ratio ~0.1-0.3).
-    require_floor BENCH_query.json groupby_card_ratio 0.03 \
-        "50k-row group-by, 16384-group / 8-group ops/s"
+    sh scripts/bench_query.sh
     echo "--> bench floor: automaton fan-out"
     sh scripts/bench_fanout.sh
     echo "--> bench floor: WAL group commit"

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use gapl::event::Scalar;
 use pscache::wal::{count_complete_records, log_path};
-use pscache::{Cache, CacheBuilder, Query, SyncPolicy};
+use pscache::{Cache, CacheBuilder, IdemToken, Query, SyncPolicy, TokenOutcome};
 
 /// A fresh, empty scratch directory under the system temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -211,6 +211,39 @@ fn double_recovery_is_idempotent() {
     };
     assert_eq!(first, second);
     assert_eq!(first.len(), 3);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every open logs the built-in Timer's create record before replaying.
+/// Loading the snapshot's Timer must not lower the table's watermark
+/// below that record: a checkpoint would then claim less history than
+/// the logs it deletes held, and the next open would hand the record's
+/// LSN out again.
+#[test]
+fn lsns_are_never_reused_across_a_checkpointed_reopen() {
+    let dir = scratch("lsn-reuse");
+    {
+        let cache = Cache::recover(&dir).unwrap();
+        cache
+            .execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+            .unwrap();
+        cache
+            .upsert("KV", vec![Scalar::Str("a".into()), Scalar::Int(1)])
+            .unwrap();
+        cache.checkpoint().unwrap();
+    }
+    let reopened = {
+        let cache = Cache::recover(&dir).unwrap();
+        cache.checkpoint().unwrap();
+        cache.commit_lsn()
+    };
+    let cache = Cache::recover(&dir).unwrap();
+    assert!(
+        cache.commit_lsn() > reopened,
+        "LSN {} reused after a checkpointed reopen",
+        cache.commit_lsn()
+    );
+    drop(cache);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -571,20 +604,53 @@ fn shrinking_the_shard_count_absorbs_and_reclaims_orphan_logs() {
 // The crash-recovery differential proptest.
 // ---------------------------------------------------------------------------
 
-/// One randomly generated mutation.
+/// One randomly generated mutation. Inserts and upserts may carry an
+/// idempotency token; batches carry 1–4 rows.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { table: usize, key: u8, value: i64 },
-    Upsert { table: usize, key: u8, value: i64 },
-    Remove { table: usize, key: u8 },
+    Insert {
+        table: usize,
+        row: (u8, i64),
+        token: bool,
+    },
+    Upsert {
+        table: usize,
+        row: (u8, i64),
+        token: bool,
+    },
+    InsertBatch {
+        table: usize,
+        rows: Vec<(u8, i64)>,
+        token: bool,
+    },
+    UpsertBatch {
+        table: usize,
+        rows: Vec<(u8, i64)>,
+        token: bool,
+    },
+    Remove {
+        table: usize,
+        key: u8,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0usize..2, 0u8..6, -100i64..100, 0u8..3).prop_map(|(table, key, value, kind)| match kind {
-        0 => Op::Insert { table, key, value },
-        1 => Op::Upsert { table, key, value },
-        _ => Op::Remove { table, key },
-    })
+    (
+        0usize..2,
+        proptest::collection::vec((0u8..6, -100i64..100), 1..5),
+        0u8..5,
+        any::<bool>(),
+    )
+        .prop_map(|(table, rows, kind, token)| {
+            let row = rows[0];
+            match kind {
+                0 => Op::Insert { table, row, token },
+                1 => Op::Upsert { table, row, token },
+                2 => Op::InsertBatch { table, rows, token },
+                3 => Op::UpsertBatch { table, rows, token },
+                _ => Op::Remove { table, key: row.0 },
+            }
+        })
 }
 
 /// The in-memory model of one persistent table: rows in scan order.
@@ -596,6 +662,110 @@ fn model_dump(model: &[ModelTable; 2], table: usize) -> Vec<(Vec<Scalar>, u64)> 
         .iter()
         .map(|(k, v, ts)| (vec![Scalar::Str(k.as_str().into()), Scalar::Int(*v)], *ts))
         .collect()
+}
+
+/// What one [`Op`] did to the durable cache.
+struct Applied {
+    /// The op appended one log record.
+    logged: bool,
+    /// The op's token and the outcome the cache remembered under it
+    /// (`None` when the op failed, so nothing was remembered).
+    token: Option<(IdemToken, Option<TokenOutcome>)>,
+}
+
+/// Apply `op` to `cache` and to `model` at insertion time `now`. A
+/// tokened op is stamped with token `(1, seq)`. Writes apply prefix-wise
+/// in both: a duplicate key fails a plain insert at that row, keeping
+/// the rows before it.
+fn apply_op(cache: &Cache, model: &mut [ModelTable; 2], op: &Op, seq: u64, now: u64) -> Applied {
+    let (table, rows, upsert, batch, token) = match op {
+        Op::Insert { table, row, token } => (*table, vec![*row], false, false, *token),
+        Op::Upsert { table, row, token } => (*table, vec![*row], true, false, *token),
+        Op::InsertBatch { table, rows, token } => (*table, rows.clone(), false, true, *token),
+        Op::UpsertBatch { table, rows, token } => (*table, rows.clone(), true, true, *token),
+        Op::Remove { table, key } => {
+            let k = format!("k{key}");
+            cache.remove(&format!("T{table}"), &k).unwrap();
+            model[*table].retain(|(mk, _, _)| *mk != k);
+            return Applied {
+                logged: true,
+                token: None,
+            };
+        }
+    };
+    let mut applied = 0;
+    for (key, value) in &rows {
+        let k = format!("k{key}");
+        if model[table].iter().any(|(mk, _, _)| *mk == k) {
+            if !upsert {
+                break;
+            }
+            model[table].retain(|(mk, _, _)| *mk != k);
+        }
+        model[table].push((k, *value, now));
+        applied += 1;
+    }
+    let name = format!("T{table}");
+    let values: Vec<Vec<Scalar>> = rows
+        .iter()
+        .map(|(key, value)| {
+            vec![
+                Scalar::Str(format!("k{key}").as_str().into()),
+                Scalar::Int(*value),
+            ]
+        })
+        .collect();
+    let tok = token.then_some(IdemToken { client_id: 1, seq });
+    let ok = match (batch, tok) {
+        (false, Some(_)) => cache
+            .insert_with_token(&name, values[0].clone(), upsert, tok)
+            .is_ok(),
+        (false, None) if upsert => cache.upsert(&name, values[0].clone()).is_ok(),
+        (false, None) => cache.insert(&name, values[0].clone()).is_ok(),
+        (true, Some(_)) => cache
+            .insert_batch_with_token(&name, values, upsert, tok)
+            .is_ok(),
+        (true, None) if upsert => cache.upsert_batch(&name, values).is_ok(),
+        (true, None) => cache.insert_batch(&name, values).is_ok(),
+    };
+    assert_eq!(
+        ok,
+        applied == rows.len(),
+        "{op:?} succeeded against the model's verdict"
+    );
+    Applied {
+        logged: applied > 0,
+        token: tok.map(|t| {
+            let outcome = cache.token_lookup(t);
+            assert_eq!(
+                outcome.is_some(),
+                ok,
+                "{op:?}: a token is remembered iff the op succeeded"
+            );
+            (t, outcome)
+        }),
+    }
+}
+
+/// The recovered cache remembers exactly the writer's outcome for every
+/// token whose record survived, and nothing for the rest.
+fn assert_token_parity(
+    cache: &Cache,
+    tokens: &[(IdemToken, Option<TokenOutcome>, usize)],
+    survivors: usize,
+) {
+    for (token, outcome, record) in tokens {
+        let expected = if *record <= survivors {
+            outcome.clone()
+        } else {
+            None
+        };
+        assert_eq!(
+            cache.token_lookup(*token),
+            expected,
+            "token {token:?} of record {record} after {survivors} surviving records"
+        );
+    }
 }
 
 proptest! {
@@ -613,6 +783,8 @@ proptest! {
         // states[r] = the model after the first r *logged* records.
         let mut states: Vec<[ModelTable; 2]> = Vec::new();
         let mut model: [ModelTable; 2] = [Vec::new(), Vec::new()];
+        // (token, the writer's remembered outcome, its record number).
+        let mut tokens: Vec<(IdemToken, Option<TokenOutcome>, usize)> = Vec::new();
         {
             let cache = CacheBuilder::new()
                 .shard_count(1)
@@ -629,48 +801,17 @@ proptest! {
             cache.checkpoint().unwrap();
             states.push(model.clone());
 
-            for op in &ops {
+            for (seq, op) in ops.iter().enumerate() {
                 cache.manual_clock().unwrap().advance(1);
                 let now = cache.now();
-                let logged = match op {
-                    Op::Insert { table, key, value } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        let exists = model[*table].iter().any(|(mk, _, _)| *mk == k);
-                        let result = cache.insert(
-                            &name,
-                            vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                        );
-                        if exists {
-                            prop_assert!(result.is_err(), "duplicate insert must fail");
-                            false
-                        } else {
-                            prop_assert!(result.is_ok());
-                            model[*table].push((k, *value, now));
-                            true
-                        }
-                    }
-                    Op::Upsert { table, key, value } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        cache.upsert(
-                            &name,
-                            vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                        ).unwrap();
-                        model[*table].retain(|(mk, _, _)| *mk != k);
-                        model[*table].push((k, *value, now));
-                        true
-                    }
-                    Op::Remove { table, key } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        cache.remove(&name, &k).unwrap();
-                        model[*table].retain(|(mk, _, _)| *mk != k);
-                        true
-                    }
-                };
-                if logged {
+                let applied = apply_op(&cache, &mut model, op, seq as u64, now);
+                if applied.logged {
                     states.push(model.clone());
+                }
+                if let Some((token, outcome)) = applied.token {
+                    // Only a logged op remembers its token, inside its
+                    // own record: record number `states.len() - 1`.
+                    tokens.push((token, outcome, states.len() - 1));
                 }
             }
         }
@@ -697,6 +838,7 @@ proptest! {
                 "table T{} after {} surviving records", table, survivors
             );
         }
+        assert_token_parity(&cache, &tokens, survivors);
         // The recovered cache still accepts durable writes.
         cache.upsert("T0", vec![Scalar::Str("post".into()), Scalar::Int(1)]).unwrap();
         drop(cache);
@@ -714,6 +856,8 @@ proptest! {
         let dir = scratch("proptest-corrupt");
         let mut states: Vec<[ModelTable; 2]> = Vec::new();
         let mut model: [ModelTable; 2] = [Vec::new(), Vec::new()];
+        // (token, the writer's remembered outcome, its record number).
+        let mut tokens: Vec<(IdemToken, Option<TokenOutcome>, usize)> = Vec::new();
         {
             let cache = CacheBuilder::new()
                 .shard_count(1)
@@ -727,47 +871,17 @@ proptest! {
                 "create persistenttable T1 (k varchar(8) primary key, v integer)").unwrap();
             cache.checkpoint().unwrap();
             states.push(model.clone());
-            for op in &ops {
+            for (seq, op) in ops.iter().enumerate() {
                 cache.manual_clock().unwrap().advance(1);
                 let now = cache.now();
-                let logged = match op {
-                    Op::Insert { table, key, value } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        let exists = model[*table].iter().any(|(mk, _, _)| *mk == k);
-                        if cache.insert(
-                            &name,
-                            vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                        ).is_ok() {
-                            prop_assert!(!exists);
-                            model[*table].push((k, *value, now));
-                            true
-                        } else {
-                            prop_assert!(exists);
-                            false
-                        }
-                    }
-                    Op::Upsert { table, key, value } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        cache.upsert(
-                            &name,
-                            vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                        ).unwrap();
-                        model[*table].retain(|(mk, _, _)| *mk != k);
-                        model[*table].push((k, *value, now));
-                        true
-                    }
-                    Op::Remove { table, key } => {
-                        let name = format!("T{table}");
-                        let k = format!("k{key}");
-                        cache.remove(&name, &k).unwrap();
-                        model[*table].retain(|(mk, _, _)| *mk != k);
-                        true
-                    }
-                };
-                if logged {
+                let applied = apply_op(&cache, &mut model, op, seq as u64, now);
+                if applied.logged {
                     states.push(model.clone());
+                }
+                if let Some((token, outcome)) = applied.token {
+                    // Only a logged op remembers its token, inside its
+                    // own record: record number `states.len() - 1`.
+                    tokens.push((token, outcome, states.len() - 1));
                 }
             }
         }
@@ -799,6 +913,7 @@ proptest! {
                 "table T{} after corruption at byte {}", table, flip_at
             );
         }
+        assert_token_parity(&cache, &tokens, survivors);
         drop(cache);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use gapl::event::Scalar;
 use pscache::wal::{count_complete_records, log_path};
-use pscache::{Cache, CacheBuilder, Error, Query, ReplRole};
+use pscache::{Cache, CacheBuilder, Error, IdemToken, Query, ReplRole};
 
 /// A fresh, empty scratch directory under the system temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -702,20 +702,54 @@ fn replication_lag_is_observable_end_to_end_over_server_stats() {
 // The follower crash/reconnect differential proptest.
 // ---------------------------------------------------------------------------
 
-/// One randomly generated mutation (the `tests/durability.rs` model).
+/// One randomly generated mutation (the `tests/durability.rs` model):
+/// inserts and upserts may carry an idempotency token; batches carry
+/// 1–4 rows.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { table: usize, key: u8, value: i64 },
-    Upsert { table: usize, key: u8, value: i64 },
-    Remove { table: usize, key: u8 },
+    Insert {
+        table: usize,
+        row: (u8, i64),
+        token: bool,
+    },
+    Upsert {
+        table: usize,
+        row: (u8, i64),
+        token: bool,
+    },
+    InsertBatch {
+        table: usize,
+        rows: Vec<(u8, i64)>,
+        token: bool,
+    },
+    UpsertBatch {
+        table: usize,
+        rows: Vec<(u8, i64)>,
+        token: bool,
+    },
+    Remove {
+        table: usize,
+        key: u8,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0usize..2, 0u8..6, -100i64..100, 0u8..3).prop_map(|(table, key, value, kind)| match kind {
-        0 => Op::Insert { table, key, value },
-        1 => Op::Upsert { table, key, value },
-        _ => Op::Remove { table, key },
-    })
+    (
+        0usize..2,
+        proptest::collection::vec((0u8..6, -100i64..100), 1..5),
+        0u8..5,
+        any::<bool>(),
+    )
+        .prop_map(|(table, rows, kind, token)| {
+            let row = rows[0];
+            match kind {
+                0 => Op::Insert { table, row, token },
+                1 => Op::Upsert { table, row, token },
+                2 => Op::InsertBatch { table, rows, token },
+                3 => Op::UpsertBatch { table, rows, token },
+                _ => Op::Remove { table, key: row.0 },
+            }
+        })
 }
 
 /// The in-memory model of one persistent table: rows in scan order.
@@ -726,6 +760,89 @@ fn model_dump(model: &[ModelTable; 2], table: usize) -> Vec<(Vec<Scalar>, u64)> 
         .iter()
         .map(|(k, v, ts)| (vec![Scalar::Str(k.as_str().into()), Scalar::Int(*v)], *ts))
         .collect()
+}
+
+/// Apply `op` to `cache` and to `model` at insertion time `now`, the
+/// way `tests/durability.rs` does; returns the token `(1, seq)` a
+/// tokened op was stamped with.
+fn apply_op(
+    cache: &Cache,
+    model: &mut [ModelTable; 2],
+    op: &Op,
+    seq: u64,
+    now: u64,
+) -> Option<IdemToken> {
+    let (table, rows, upsert, batch, token) = match op {
+        Op::Insert { table, row, token } => (*table, vec![*row], false, false, *token),
+        Op::Upsert { table, row, token } => (*table, vec![*row], true, false, *token),
+        Op::InsertBatch { table, rows, token } => (*table, rows.clone(), false, true, *token),
+        Op::UpsertBatch { table, rows, token } => (*table, rows.clone(), true, true, *token),
+        Op::Remove { table, key } => {
+            let k = format!("k{key}");
+            cache.remove(&format!("T{table}"), &k).unwrap();
+            model[*table].retain(|(mk, _, _)| *mk != k);
+            return None;
+        }
+    };
+    let mut applied = 0;
+    for (key, value) in &rows {
+        let k = format!("k{key}");
+        if model[table].iter().any(|(mk, _, _)| *mk == k) {
+            if !upsert {
+                break;
+            }
+            model[table].retain(|(mk, _, _)| *mk != k);
+        }
+        model[table].push((k, *value, now));
+        applied += 1;
+    }
+    let name = format!("T{table}");
+    let values: Vec<Vec<Scalar>> = rows
+        .iter()
+        .map(|(key, value)| {
+            vec![
+                Scalar::Str(format!("k{key}").as_str().into()),
+                Scalar::Int(*value),
+            ]
+        })
+        .collect();
+    let tok = token.then_some(IdemToken { client_id: 1, seq });
+    let ok = match (batch, tok) {
+        (false, Some(_)) => cache
+            .insert_with_token(&name, values[0].clone(), upsert, tok)
+            .is_ok(),
+        (false, None) if upsert => cache.upsert(&name, values[0].clone()).is_ok(),
+        (false, None) => cache.insert(&name, values[0].clone()).is_ok(),
+        (true, Some(_)) => cache
+            .insert_batch_with_token(&name, values, upsert, tok)
+            .is_ok(),
+        (true, None) if upsert => cache.upsert_batch(&name, values).is_ok(),
+        (true, None) => cache.insert_batch(&name, values).is_ok(),
+    };
+    assert_eq!(
+        ok,
+        applied == rows.len(),
+        "{op:?} succeeded against the model's verdict"
+    );
+    if let Some(t) = tok {
+        assert_eq!(
+            cache.token_lookup(t).is_some(),
+            ok,
+            "{op:?}: a token is remembered iff the op succeeded"
+        );
+    }
+    tok
+}
+
+/// `follower` remembers exactly `primary`'s outcome for every token.
+fn assert_token_parity(primary: &Cache, follower: &Cache, tokens: &[IdemToken]) {
+    for token in tokens {
+        assert_eq!(
+            follower.token_lookup(*token),
+            primary.token_lookup(*token),
+            "token {token:?}"
+        );
+    }
 }
 
 proptest! {
@@ -768,6 +885,7 @@ proptest! {
             .open()
             .unwrap());
         let mut model: [ModelTable; 2] = [Vec::new(), Vec::new()];
+        let mut tokens: Vec<IdemToken> = Vec::new();
 
         for (idx, op) in ops.iter().enumerate() {
             if crash_points.contains(&idx) {
@@ -786,39 +904,7 @@ proptest! {
             }
             primary.manual_clock().unwrap().advance(1);
             let now = primary.now();
-            match op {
-                Op::Insert { table, key, value } => {
-                    let name = format!("T{table}");
-                    let k = format!("k{key}");
-                    let exists = model[*table].iter().any(|(mk, _, _)| *mk == k);
-                    let result = primary.insert(
-                        &name,
-                        vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                    );
-                    if exists {
-                        prop_assert!(result.is_err(), "duplicate insert must fail");
-                    } else {
-                        prop_assert!(result.is_ok());
-                        model[*table].push((k, *value, now));
-                    }
-                }
-                Op::Upsert { table, key, value } => {
-                    let name = format!("T{table}");
-                    let k = format!("k{key}");
-                    primary.upsert(
-                        &name,
-                        vec![Scalar::Str(k.as_str().into()), Scalar::Int(*value)],
-                    ).unwrap();
-                    model[*table].retain(|(mk, _, _)| *mk != k);
-                    model[*table].push((k, *value, now));
-                }
-                Op::Remove { table, key } => {
-                    let name = format!("T{table}");
-                    let k = format!("k{key}");
-                    primary.remove(&name, &k).unwrap();
-                    model[*table].retain(|(mk, _, _)| *mk != k);
-                }
-            }
+            tokens.extend(apply_op(&primary, &mut model, op, idx as u64, now));
         }
 
         let follower = follower.take().unwrap();
@@ -830,6 +916,7 @@ proptest! {
                 "table T{} after {} ops, {} crashes", table, ops.len(), crash_points.len()
             );
         }
+        assert_token_parity(&primary, &follower, &tokens);
         // And the follower state survives one more cold restart intact
         // (its own WAL is a faithful copy).
         drop(follower);
@@ -845,6 +932,7 @@ proptest! {
                 model_dump(&model, table)
             );
         }
+        assert_token_parity(&primary, &reopened, &tokens);
         drop(reopened);
         primary.shutdown();
         let _ = fs::remove_dir_all(&dir_p);
