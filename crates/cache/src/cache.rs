@@ -12,7 +12,7 @@ use parking_lot::{Mutex, RwLock};
 use gapl::event::{AttrType, Scalar, Schema, Timestamp, Tuple};
 
 use crate::clock::{Clock, ManualClock, SystemClock};
-use crate::cluster::ClusterSpec;
+use crate::cluster::{routing_key, ClusterSpec};
 use crate::config::{
     DEFAULT_AUTOMATON_WORKERS, DEFAULT_CHECKPOINT_EVERY, DEFAULT_SHARD_COUNT, DEFAULT_TOKEN_HISTORY,
 };
@@ -1305,7 +1305,7 @@ impl Cache {
         };
         self.inner
             .write(table, vec![values], opts)
-            .map(|w| (w.replaced, w.tstamps[0]))
+            .map(|w| (w.replaced, w.tstamp))
     }
 
     /// [`Cache::insert_batch`]/[`Cache::upsert_batch`] for a
@@ -1328,7 +1328,9 @@ impl Cache {
             token,
             batch: true,
         };
-        self.inner.write(table, rows, opts).map(|w| w.tstamps)
+        self.inner
+            .write(table, rows, opts)
+            .map(|w| vec![w.tstamp; w.rows])
     }
 
     /// Run an ad hoc query.
@@ -1775,8 +1777,10 @@ pub(crate) struct WriteOpts {
 pub(crate) struct Written {
     /// Whether the last row replaced an existing keyed row.
     pub(crate) replaced: bool,
-    /// One insertion timestamp per stored row, in row order.
-    pub(crate) tstamps: Vec<Timestamp>,
+    /// The insertion timestamp every stored row of the write carries.
+    pub(crate) tstamp: Timestamp,
+    /// How many rows were stored.
+    pub(crate) rows: usize,
 }
 
 impl CacheInner {
@@ -2204,24 +2208,27 @@ impl CacheInner {
         f(&mut guard)
     }
 
-    /// Enforce cluster key ownership for a write of `rows` into
-    /// `table_name` (see [`Cache::set_cluster_spec`]): with a spec
-    /// installed, every row's routing key must hash to this node's
-    /// partition. Validated before anything is staged, so a
-    /// [`Error::WrongPartition`] reply always means "nothing was
+    /// Enforce cluster key ownership for a write of the rows whose
+    /// routing keys are `keys` into `table_name` (see
+    /// [`Cache::set_cluster_spec`]): with a spec installed, every key
+    /// must hash to this node's partition. The keys are only computed
+    /// when a spec is installed. Validated before anything is staged,
+    /// so a [`Error::WrongPartition`] reply always means "nothing was
     /// applied — resend to the named owner". The built-in `Timer`
     /// topic and internal tables are per-node, not partitioned.
-    fn ensure_owned(&self, table_name: &str, rows: &[Vec<Scalar>]) -> Result<()> {
+    fn ensure_owned<K: AsRef<str>>(
+        &self,
+        table_name: &str,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Result<()> {
         if table_name == TIMER_TOPIC || table_name.starts_with('\u{1}') {
             return Ok(());
         }
         let Some(spec) = self.cluster.read().clone() else {
             return Ok(());
         };
-        for row in rows {
-            spec.check_owned(row)?;
-        }
-        Ok(())
+        keys.into_iter()
+            .try_for_each(|key| spec.check_owns_key(key.as_ref()))
     }
 
     /// Publish rows inserted on a *remote* partition to this node's
@@ -2286,16 +2293,19 @@ impl CacheInner {
         // is staged — unlike schema errors, a misrouted batch applies
         // nothing, so the redirected retry against the owning partition
         // can resend it verbatim.
-        self.ensure_owned(table_name, &rows)?;
+        self.ensure_owned(table_name, rows.iter().map(|row| routing_key(row)))?;
         let table = self.tables.get(table_name)?;
         let mut guard = table.lock();
-        let tstamp = self.now();
+        let mut tstamp = self.now();
         let mut stored = Vec::with_capacity(rows.len());
         let mut replaced = false;
         let mut result = Ok(());
         for values in rows {
             match guard.stage_insert(values, tstamp, opts.upsert) {
                 Ok(outcome) => {
+                    // The table clamps the clock reading to its newest
+                    // row once; every later row keeps that timestamp.
+                    tstamp = outcome.stored.tstamp();
                     replaced = outcome.replaced;
                     stored.push(outcome.stored);
                 }
@@ -2323,17 +2333,9 @@ impl CacheInner {
             self.wal_append(table_name, &mut guard, staged_end, |lsn| {
                 let values: Vec<&[Scalar]> = stored.iter().map(Tuple::values).collect();
                 let token = token.map(|t| (t.client_id, t.seq, opts.batch));
-                wal::encode_insert(
-                    lsn,
-                    table_name,
-                    opts.upsert,
-                    stored[0].tstamp(),
-                    &values,
-                    token,
-                )
+                wal::encode_insert(lsn, table_name, opts.upsert, tstamp, &values, token)
             })?
         };
-        let tstamps: Vec<Timestamp> = stored.iter().map(Tuple::tstamp).collect();
         if let Some(t) = token {
             // Recorded under the table lock: once the table snapshot of a
             // checkpoint has observed this write, the (later) token
@@ -2342,22 +2344,31 @@ impl CacheInner {
             // but not crashes — matching the table's own semantics.
             let outcome = if opts.batch {
                 TokenOutcome::InsertedBatch {
-                    tstamps: tstamps.clone(),
+                    tstamps: vec![tstamp; stored.len()],
                 }
             } else {
-                TokenOutcome::Inserted {
-                    replaced,
-                    tstamp: tstamps.first().copied().unwrap_or(tstamp),
-                }
+                TokenOutcome::Inserted { replaced, tstamp }
             };
             self.tokens
                 .lock()
                 .record(t, outcome, ticket.map_or(0, |(_, lsn)| lsn));
         }
         self.publish_locked(table_name, &stored);
-        self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
+        if stored.is_empty() {
+            // Nothing of this write is staged, so it has nothing to
+            // commit. Committing `staged_end` anyway would make rows that
+            // other writers staged visible while their log records may
+            // still wait for group commit.
+            drop(guard);
+        } else {
+            self.commit_staged(&table, guard, staged_end, ticket.map(|(t, _)| t))?;
+        }
         result?;
-        Ok(Written { replaced, tstamps })
+        Ok(Written {
+            replaced,
+            tstamp,
+            rows: stored.len(),
+        })
     }
 
     /// Make a staged prefix visible to the lock-free read path,
@@ -2522,10 +2533,10 @@ impl CacheInner {
 
     pub(crate) fn persistent_remove(&self, table: &str, key: &str) -> Result<Option<Tuple>> {
         self.ensure_writable("remove")?;
-        // Removals are keyed: the key is the routing key of any row that
-        // starts with it, so ownership follows the same rule as inserts
-        // and fails with the same redirectable error.
-        self.ensure_owned(table, &[vec![Scalar::Str(Arc::from(key))]])?;
+        // Removals are keyed: the key is the routing key of the row it
+        // names, so ownership follows the same rule as inserts and fails
+        // with the same redirectable error.
+        self.ensure_owned(table, [key])?;
         let t = self.tables.get(table)?;
         let mut guard = t.lock();
         let removed = guard.stage_remove(key)?;
@@ -2587,7 +2598,7 @@ impl CacheInner {
             vec![vec![Scalar::Tstamp(now)]],
             WriteOpts::default(),
         )
-        .map(|w| w.tstamps[0])
+        .map(|w| w.tstamp)
     }
 
     // -----------------------------------------------------------------
@@ -3364,5 +3375,66 @@ mod tests {
         assert_eq!(c.table_len("T").unwrap(), 1);
         c.shutdown();
         c.shutdown();
+    }
+
+    /// A write that stores nothing (a duplicate key, a batch whose first
+    /// row is bad, an empty batch) must not commit the rows that another
+    /// writer staged and logged but whose group commit is still pending:
+    /// flush-before-visible holds for them until that writer commits.
+    #[test]
+    fn a_write_that_stores_nothing_commits_no_other_writers_rows() {
+        let dir = std::env::temp_dir().join(format!(
+            "pscache-unit-stores-nothing-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = CacheBuilder::new()
+            .durability(&dir)
+            .sync_policy(SyncPolicy::Group)
+            .checkpoint_every(0)
+            .open()
+            .unwrap();
+        c.execute("create persistenttable KV (k varchar(8) primary key, v integer)")
+            .unwrap();
+        c.insert("KV", vec![Scalar::Str("a".into()), Scalar::Int(1)])
+            .unwrap();
+        // Another writer's insert of `b`, stopped between its append and
+        // its durability wait: staged and logged, not yet committed.
+        let table = c.inner.tables.get("KV").unwrap();
+        let mut guard = table.lock();
+        let outcome = guard
+            .stage_insert(
+                vec![Scalar::Str("b".into()), Scalar::Int(2)],
+                c.now(),
+                false,
+            )
+            .unwrap();
+        let staged_end = guard.staged_tail();
+        let ticket = c
+            .inner
+            .wal_append("KV", &mut guard, staged_end, |lsn| {
+                let values = [outcome.stored.values()];
+                wal::encode_insert(lsn, "KV", false, outcome.stored.tstamp(), &values, None)
+            })
+            .unwrap()
+            .map(|(ticket, _)| ticket);
+        assert!(ticket.is_some(), "a durable table's insert is logged");
+        drop(guard);
+
+        let dup = || vec![Scalar::Str("a".into()), Scalar::Int(9)];
+        assert!(c.insert("KV", dup()).is_err());
+        assert!(c.insert_batch("KV", vec![dup(), dup()]).is_err());
+        assert_eq!(c.insert_batch("KV", Vec::new()).unwrap(), Vec::new());
+        assert_eq!(c.table_len("KV").unwrap(), 1);
+        assert!(table.lookup("b").is_none());
+
+        c.inner
+            .commit_staged(&table, table.lock(), staged_end, ticket)
+            .unwrap();
+        assert_eq!(c.table_len("KV").unwrap(), 2);
+        assert!(table.lookup("b").is_some());
+        drop(table);
+        c.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

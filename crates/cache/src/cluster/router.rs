@@ -93,7 +93,12 @@ impl ClusterSpec {
     ///
     /// [`Error::WrongPartition`] naming the owning partition.
     pub fn check_owned(&self, values: &[Scalar]) -> Result<()> {
-        let owner = self.owner_of(&routing_key(values));
+        self.check_owns_key(&routing_key(values))
+    }
+
+    /// [`ClusterSpec::check_owned`] for a row's routing key.
+    pub(crate) fn check_owns_key(&self, key: &str) -> Result<()> {
+        let owner = self.owner_of(key);
         if owner == self.index {
             Ok(())
         } else {
